@@ -32,8 +32,8 @@ from .errors import (
     RefusedForMode,
     SepidemError,
 )
-from .integrals import derive_all, derive_left_integral, derive_right_integral, modular_automorphisms
-from .scalars import EXACT, Float64Field
+from .integrals import derive_all
+from .scalars import EXACT
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -124,13 +124,17 @@ def _load(args):
     return parse_instance(doc, override_mode=override, override_tol=args.tol)
 
 
+def _emit(desc, cert, extra=None, t0=None) -> int:
+    """Print the certificate document; return the exit code of its mode."""
+    timing = None if t0 is None else round(time.perf_counter() - t0, 6)
+    print(certificate_from_result(desc, cert, derived_extra=extra, timing=timing).to_json())
+    return _MODE_EXIT[cert.mode]
+
+
 def cmd_verify(args) -> int:
     desc = _load(args)
     t0 = time.perf_counter()
-    cert = certify(desc.element)
-    doc = certificate_from_result(desc, cert, timing=round(time.perf_counter() - t0, 6))
-    print(doc.to_json())
-    return _MODE_EXIT[cert.mode]
+    return _emit(desc, certify(desc.element), t0=t0)
 
 
 def cmd_derive(args) -> int:
@@ -140,9 +144,7 @@ def cmd_derive(args) -> int:
     t0 = time.perf_counter()
     cert = certify(e)
     if cert.mode == "rejected":
-        doc = certificate_from_result(desc, cert)
-        print(doc.to_json())
-        return EXIT_REJECTED
+        return _emit(desc, cert)
     if args.what == "antipodes":
         extra = {}  # S and S_prime are already part of the certificate payload
     elif cert.mode != "separability_idempotent":
@@ -150,32 +152,24 @@ def cmd_derive(args) -> int:
             f"--what={args.what} needs a separability idempotent; certificate mode "
             f"is {cert.mode!r} (antipodes remain available)"
         )
-    elif args.what == "integrals":
-        phi = derive_left_integral(e, cert.mode)
-        psi = derive_right_integral(e, cert.mode)
-        extra = {"phi": vector_literal(phi.covector, fld),
-                 "psi": vector_literal(psi.covector, fld)}
-    elif args.what == "modular":
-        phi = derive_left_integral(e, cert.mode)
-        psi = derive_right_integral(e, cert.mode)
-        sigma, sigma_prime = modular_automorphisms(
-            cert.antipode, cert.reverse_antipode, phi, psi)
-        extra = {"sigma": matrix_literal(sigma.rows, fld),
-                 "sigma_prime": matrix_literal(sigma_prime.rows, fld)}
-    else:  # dual
+    else:
         data = derive_all(e, cert.mode)
-        dual = Duality(data)
-        bhats = [dual.fourier(e.left.basis_element(i), "B") for i in range(e.left.dim)]
-        chats = [dual.fourier(e.right.basis_element(j), "C") for j in range(e.right.dim)]
-        pairing = [[dual.pairing(bh, ch) for ch in chats] for bh in bhats]
-        extra = {"dual_pairing": matrix_literal(pairing, fld)}
-        if e.left.star_matrix is not None and e.right.star_matrix is not None:
-            gram = [[dual.plancherel_form(c1, c2) for c1 in chats] for c2 in chats]
-            extra["plancherel_gram"] = matrix_literal(gram, fld)
-    doc = certificate_from_result(desc, cert, derived_extra=extra,
-                                  timing=round(time.perf_counter() - t0, 6))
-    print(doc.to_json())
-    return _MODE_EXIT[cert.mode]
+        if args.what == "integrals":
+            extra = {"phi": vector_literal(data.left_integral.covector, fld),
+                     "psi": vector_literal(data.right_integral.covector, fld)}
+        elif args.what == "modular":
+            extra = {"sigma": matrix_literal(data.modular.rows, fld),
+                     "sigma_prime": matrix_literal(data.reverse_modular.rows, fld)}
+        else:  # dual
+            dual = Duality(data)
+            bhats = [dual.fourier(e.left.basis_element(i), "B") for i in range(e.left.dim)]
+            chats = [dual.fourier(e.right.basis_element(j), "C") for j in range(e.right.dim)]
+            pairing = [[dual.pairing(bh, ch) for ch in chats] for bh in bhats]
+            extra = {"dual_pairing": matrix_literal(pairing, fld)}
+            if e.left.star_matrix is not None and e.right.star_matrix is not None:
+                gram = [[dual.plancherel_form(c1, c2) for c1 in chats] for c2 in chats]
+                extra["plancherel_gram"] = matrix_literal(gram, fld)
+    return _emit(desc, cert, extra, t0)
 
 
 def cmd_decompose(args) -> int:
@@ -185,9 +179,7 @@ def cmd_decompose(args) -> int:
     t0 = time.perf_counter()
     cert = certify(e)
     if cert.mode != "separability_idempotent":
-        doc = certificate_from_result(desc, cert)
-        print(doc.to_json())
-        return _MODE_EXIT[cert.mode]
+        return _emit(desc, cert)
     blocks = star.decompose_blocks(e)
     extra = {
         "blocks": [
@@ -199,15 +191,11 @@ def cmd_decompose(args) -> int:
             for b in blocks
         ]
     }
-    doc = certificate_from_result(desc, cert, derived_extra=extra,
-                                  timing=round(time.perf_counter() - t0, 6))
-    print(doc.to_json())
-    return EXIT_OK
+    return _emit(desc, cert, extra, t0)
 
 
 def cmd_construct(args) -> int:
     mode = {"exact": "exact", "float": "float64", None: "exact"}[args.mode]
-    fld = EXACT if mode == "exact" else Float64Field(args.tol if args.tol else 1e-9)
     spec = {"scalar_mode": mode}
     if mode == "float64" and args.tol:
         spec["tolerance"] = args.tol

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import AlgebraElement
+from .engine import _inverse_map
 from .errors import NoStarStructure, SepidemError
 from .integrals import DerivedData, derive_all
 from .tensor import TensorElement
@@ -51,8 +52,8 @@ class Duality:
         self._form_c = data.left_integral.form_matrix()
         self._form_b_inv = None
         self._form_c_inv = None
-        self._s_inv = data.antipode.inverse()
-        self._sp_inv = data.reverse_antipode.inverse()
+        self._s_inv = _inverse_map(e, "right")
+        self._sp_inv = _inverse_map(e, "left")
 
     @classmethod
     def from_element(cls, e: TensorElement, mode=None) -> "Duality":

@@ -28,9 +28,19 @@ products, with no overdetermined solve and no inversion.  The formulas are
 not trusted; _verify_map checks each map (see there).  Float mode keeps
 the absorption solves, which stay at the conditioning of the input.
 
-Every check here is a pure computation on immutable values; the
-sub-checks of certify() are independent and could run concurrently, and
-certificate assembly does not depend on their order.
+Each derived quantity has one value per element and is computed once:
+_derived keeps it in the element's memo, and every layer reads it there.
+certify reads two fields off work it has already done:
+
+* determinacy: determinacy_check(E, E) has equal maps, so it reduces to
+  E E = E, the idempotency verdict.
+* splitting: for gamma(c) = E (1 (x) c), the retraction m gamma(c) = c is
+  the C half of the counit identities, and the module law follows from
+  right absorption, which _verify_map proves on all of B:
+  gamma(S(b) x c) = E (1 (x) S(b))(1 (x) x c) = E (b (x) 1)(1 (x) x c)
+                  = gamma(x) (b (x) c).
+
+splitting_check and determinacy_check stay public and exhaustive.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from .errors import (
     NotAntiMultiplicative,
     NotMultiplicative,
     OneSidedConditionFails,
+    SepidemError,
     TransportMismatch,
 )
 from .tensor import TensorElement, is_full, swap_and_map
@@ -95,6 +106,49 @@ def verify_idempotent(e: TensorElement) -> IdempotencyVerdict:
             if not f.eq(e2.rows[i][j], e.rows[i][j]):
                 return IdempotencyVerdict("other", witness=(i, j))
     return IdempotencyVerdict("other")
+
+
+def _derived(e: TensorElement, step: str, fn, *args):
+    """fn(e, *args), computed on the first call for (step, *args) and kept
+    in the element's memo, a dict of key -> (value, error), after that.  A
+    step that failed raises an exception of the same type and message on
+    every later call.  The memo holds results, never the element, so the
+    two form no reference cycle and are freed together; a stored failure
+    is a copy without traceback for the same reason."""
+    if e._derivation is None:
+        e._derivation = {}
+    key = (step, *args)
+    if key not in e._derivation:
+        try:
+            e._derivation[key] = (fn(e, *args), None)
+        except SepidemError as exc:
+            e._derivation[key] = (None, _detached(exc))
+            raise
+    value, error = e._derivation[key]
+    if error is not None:
+        raise _detached(error)
+    return value
+
+
+def _detached(exc: Exception) -> Exception:
+    copy = type(exc).__new__(type(exc), *exc.args)
+    copy.__dict__.update(exc.__dict__)
+    return copy
+
+
+def _map(e: TensorElement, side: str) -> LinearMap:
+    """S (side "right") or S' (side "left"), verified."""
+    return _derived(e, "map", _derive_map, side)[0]
+
+
+def _inverse_map(e: TensorElement, side: str) -> LinearMap:
+    """S^-1 (side "right") or S'^-1 (side "left"): verified with the map in
+    exact mode, solved from the inverse absorption condition in float mode
+    (inverting the derived matrix would square its condition number)."""
+    if e.field.is_exact:
+        return _derived(e, "map", _derive_map, side)[1]
+    _map(e, side)  # no inverse of a map that does not derive
+    return _derived(e, "inverse", _absorption_solve, side + "_inv")
 
 
 def _absorption_solve(e: TensorElement, side: str) -> LinearMap:
@@ -172,27 +226,27 @@ def integral_covector(e: TensorElement, side: str):
         raise NonUniqueSolution(
             f"no unique {side} integral covector ({exc}); the element is not full"
         ) from None
-    return [row[0] for row in sol]
+    return tuple(row[0] for row in sol)
 
 
-def _finish_antipode(m: LinearMap) -> LinearMap:
-    m.assert_anti_multiplicative()
-    if not m.is_bijective():
-        raise MapVerificationError("derived anti-isomorphism is not bijective")
-    return m
-
-
-def _derive_map(e: TensorElement, side: str, covectors=None):
+def _derive_map(e: TensorElement, side: str):
     """(T, T^-1) for side "right" (T = S) or "left" (T = S'), verified.
 
-    Exact mode takes T and T^-1 from the formulas of the module docstring,
-    given covectors = (phi, psi) or solving for them, and checks them with
-    _verify_map.  Float mode keeps the absorption solve for T, checks
-    anti-multiplicativity and rank, and returns T^-1 = None.
+    Exact mode takes T and T^-1 from the formulas of the module docstring
+    and checks them with _verify_map.  Float mode keeps the absorption
+    solve for T, checks anti-multiplicativity, and returns T^-1 = None
+    (see _inverse_map).  Fullness makes T bijective: T(x) = 0 turns
+    absorption into E (x (x) 1) = 0 (or (1 (x) x) E = 0), so x = 0; a rank
+    test on T would only add roundoff, rejecting T beyond cond 1/tol.
     """
     if not e.field.is_exact:
-        return _finish_antipode(_absorption_solve(e, side)), None
-    phi, psi = covectors or (integral_covector(e, "left"), integral_covector(e, "right"))
+        t = _absorption_solve(e, side)
+        t.assert_anti_multiplicative()
+        if not _derived(e, "full", is_full):
+            raise MapVerificationError("derived anti-isomorphism is not bijective")
+        return t, None
+    phi = _derived(e, "covector", integral_covector, "left")
+    psi = _derived(e, "covector", integral_covector, "right")
     f = e.field
     m = [list(r) for r in e.rows]
     mt = linalg.transpose(m)
@@ -264,7 +318,7 @@ def derive_antipode(e: TensorElement) -> LinearMap:
     bijectivity MapVerificationError.  Float mode solves the absorption
     condition and checks anti-multiplicativity (on G) and rank.
     """
-    return _derive_map(e, "right")[0]
+    return _map(e, "right")
 
 
 def derive_reverse_antipode(e: TensorElement) -> LinearMap:
@@ -277,7 +331,7 @@ def derive_reverse_antipode(e: TensorElement) -> LinearMap:
     (1 (x) g) E = (S'(g) (x) 1) E, and S'^-1 . S' = id with
     S'^-1 = M^T F_psi^T.
     """
-    return _derive_map(e, "left")[0]
+    return _map(e, "left")
 
 
 def derive_one_sided(e: TensorElement, side: str) -> LinearMap:
@@ -289,44 +343,33 @@ def derive_one_sided(e: TensorElement, side: str) -> LinearMap:
     and b = (id (x) omega . S') E, and fullness makes the b's span B.
     side = "right" mirrors this, recovering S' from S via omega . S^-1.
 
-    The recovered map is verified against its absorption condition and
-    against the two-sided derivation; disagreement raises
+    The recovered map is checked against the two-sided derivation, whose
+    absorption, anti-multiplicativity and bijectivity are already verified,
+    so agreement proves them for the recovered map too; disagreement raises
     OneSidedConditionFails.
     """
     B, C = e.left, e.right
     f = e.field
-    if not is_full(e):
+    if not _derived(e, "full", is_full):
         raise OneSidedConditionFails("element is not full")
     m_rows = [list(r) for r in e.rows]
     mt = linalg.transpose(m_rows)
     try:
         if side == "left":
-            sp = _derive_map(e, "left")[0]
+            sp = _map(e, "left")
             p = linalg.mat_mul(m_rows, linalg.transpose([list(r) for r in sp.rows]), f)
             rows = linalg.mat_mul(mt, linalg.inverse(p, f), f)
             recovered = LinearMap(B, C, rows)
-            for k in range(B.dim):
-                if e.rmul_b(B.basis_element(k)) != e.rmul_c(recovered.on_basis(k)):
-                    raise OneSidedConditionFails(
-                        f"recovered map fails absorption at {B.labels[k]}"
-                    )
-            reference = derive_antipode(e)
+            reference = _map(e, "right")
         else:
-            s = _derive_map(e, "right")[0]
-            sinv = s.inverse()
+            sinv = _inverse_map(e, "right")
             p = linalg.mat_mul(m_rows, linalg.transpose([list(r) for r in sinv.rows]), f)
             rows = linalg.mat_mul(p, linalg.inverse(mt, f), f)
             recovered = LinearMap(C, B, rows)
-            for l in range(C.dim):
-                if e.lmul_c(C.basis_element(l)) != e.lmul_b(recovered.on_basis(l)):
-                    raise OneSidedConditionFails(
-                        f"recovered map fails absorption at {C.labels[l]}"
-                    )
-            reference = derive_reverse_antipode(e)
+            reference = _map(e, "left")
     except (NoSolution, NonUniqueSolution, linalg.RankDeficient,
             linalg.InconsistentSystem) as exc:
         raise OneSidedConditionFails(str(exc)) from None
-    _finish_antipode(recovered)
     if recovered != reference:
         raise OneSidedConditionFails("one-sided recovery disagrees with the direct derivation")
     return recovered
@@ -341,41 +384,43 @@ class CheckOutcome:
 def counit_identities(e: TensorElement, s: LinearMap, sp: LinearMap) -> CheckOutcome:
     """Multiplying the two legs back together recovers the identity:
     m_C (S (x) id)(E (1 (x) c)) = c and m_B (id (x) S')((b (x) 1) E) = b,
-    checked on every basis element."""
+    checked on every basis element.  By bilinearity the left-hand sides are
+    z c and b z' with z = m_C (S (x) id) E and z' = m_B (id (x) S') E."""
     B, C = e.left, e.right
-    failures = []
-    s_imgs = [s.on_basis(i) for i in range(B.dim)]
-    sp_imgs = [sp.on_basis(j) for j in range(C.dim)]
-    for l in range(C.dim):
-        x = e.rmul_c(C.basis_element(l))
-        acc = C.zero()
-        for i in range(B.dim):
-            row = x.rows[i]
-            if any(row):
-                acc = acc + s_imgs[i] * AlgebraElement(C, row)
-        if acc != C.basis_element(l):
-            failures.append(("C", C.labels[l]))
-    for k in range(B.dim):
-        y = e.lmul_b(B.basis_element(k))
-        acc = B.zero()
-        for j in range(C.dim):
-            col = [y.rows[i][j] for i in range(B.dim)]
-            if any(col):
-                acc = acc + AlgebraElement(B, col) * sp_imgs[j]
-        if acc != B.basis_element(k):
-            failures.append(("B", B.labels[k]))
+    z_prime = B.zero()
+    for j in range(C.dim):
+        col = [e.rows[i][j] for i in range(B.dim)]
+        if any(col):
+            z_prime = z_prime + AlgebraElement(B, col) * sp.on_basis(j)
+    failures = [("C", label) for label in _retraction_failures(e, s)]
+    failures += [("B", B.labels[k]) for k in range(B.dim)
+                 if B.basis_element(k) * z_prime != B.basis_element(k)]
     return CheckOutcome(not failures, failures or None)
+
+
+def _retraction_failures(e: TensorElement, s: LinearMap) -> list:
+    """Labels of the basis elements c of C with m_C (S (x) id)(E (1 (x) c))
+    = z c != c: the C half of the counit identities and the retraction
+    half of the splitting."""
+    C = e.right
+    z = _leg_product(e, s)
+    return [C.labels[l] for l in range(C.dim) if z * C.basis_element(l) != C.basis_element(l)]
+
+
+def _leg_product(e: TensorElement, s: LinearMap) -> AlgebraElement:
+    """z = m_C (S (x) id) E."""
+    acc = e.right.zero()
+    for i, row in enumerate(e.rows):
+        if any(row):
+            acc = acc + s.on_basis(i) * AlgebraElement(e.right, list(row))
+    return acc
 
 
 def central_element(e: TensorElement, s: LinearMap) -> AlgebraElement:
     """m_C (S (x) id) E.  Central in C; equal to 1 exactly when E^2 = E and
     to 0 when E^2 = 0.  Centrality is asserted."""
-    B, C = e.left, e.right
-    acc = C.zero()
-    for i in range(B.dim):
-        row = e.rows[i]
-        if any(row):
-            acc = acc + s.on_basis(i) * AlgebraElement(C, list(row))
+    C = e.right
+    acc = _leg_product(e, s)
     for l in range(C.dim):
         cl = C.basis_element(l)
         if acc * cl != cl * acc:
@@ -396,21 +441,10 @@ def splitting_check(e: TensorElement, s: LinearMap) -> CheckOutcome:
     B, C = e.left, e.right
     f = e.field
     zero = f.zero
-    failures = []
+    failures = [("retraction", label) for label in _retraction_failures(e, s)]
     e_items = [(i, j, v) for i, j, v in e.nonzero_items() if not f.is_zero(v)]
     gamma = [_gamma_sparse(e_items, C, m, f) for m in range(C.dim)]
     s_imgs = [s.on_basis(k) for k in range(B.dim)]
-    for l in range(C.dim):
-        acc = [zero] * C.dim
-        for (i, l2), v in gamma[l].items():
-            img = s_imgs[i]
-            for t, iv in enumerate(img.coeffs):
-                if iv:
-                    for l3, cc in C.mult[t][l2]:
-                        acc[l3] = acc[l3] + v * iv * cc
-        want = C.basis_element(l).coeffs
-        if not all(f.eq(a, b) for a, b in zip(acc, want)):
-            failures.append(("retraction", C.labels[l]))
     for k in range(B.dim):
         for m in range(C.dim):
             w = s_imgs[k] * C.basis_element(m)
@@ -489,13 +523,8 @@ class DeterminacyReport:
     ef_equals_f: bool = None
 
 
-def determinacy_check(e: TensorElement, g: TensorElement,
-                      maps_e=None, maps_g=None) -> DeterminacyReport:
-    if maps_e is None:
-        maps_e = (derive_antipode(e), derive_reverse_antipode(e))
-    if maps_g is None:
-        maps_g = (derive_antipode(g), derive_reverse_antipode(g))
-    if maps_e[0] != maps_g[0] or maps_e[1] != maps_g[1]:
+def determinacy_check(e: TensorElement, g: TensorElement) -> DeterminacyReport:
+    if _map(e, "right") != _map(g, "right") or _map(e, "left") != _map(g, "left"):
         return DeterminacyReport(applicable=False, ok=True)
     ef = e * g
     same = e == g
@@ -510,8 +539,7 @@ def determinacy_check(e: TensorElement, g: TensorElement,
     )
 
 
-def conjugacy_transport(e1: TensorElement, e2: TensorElement, alpha_b: LinearMap,
-                        maps1=None, maps2=None) -> LinearMap:
+def conjugacy_transport(e1: TensorElement, e2: TensorElement, alpha_b: LinearMap) -> LinearMap:
     """Transport between two certified elements over the same algebras.
 
     Given an automorphism alpha_B intertwining the composites S'S of both
@@ -526,10 +554,8 @@ def conjugacy_transport(e1: TensorElement, e2: TensorElement, alpha_b: LinearMap
     alpha_b.assert_multiplicative()
     if not alpha_b.is_bijective():
         raise NotMultiplicative("alpha_B is not bijective")
-    s1, sp1 = maps1 if maps1 is not None else (
-        derive_antipode(e1), derive_reverse_antipode(e1))
-    s2, sp2 = maps2 if maps2 is not None else (
-        derive_antipode(e2), derive_reverse_antipode(e2))
+    s1, sp1 = _map(e1, "right"), _map(e1, "left")
+    s2, sp2 = _map(e2, "right"), _map(e2, "left")
     lhs = sp2.compose(s2).compose(alpha_b)
     rhs = alpha_b.compose(sp1.compose(s1))
     if lhs != rhs:
@@ -588,54 +614,43 @@ def certify(e: TensorElement) -> SeparabilityCertificate:
     """Run the full verification pipeline on one element.
 
     Errors from the sub-derivations are aggregated into the certificate
-    (mode "rejected" with a reason), never raised.
+    (mode "rejected" with a reason), never raised.  Every derived step is
+    read from the element's memo (_derived); splitting and determinacy are
+    read off the counit outcome and the idempotency verdict (see the
+    module docstring).
     """
-    verdict = verify_idempotent(e)
-    full = is_full(e)
+    verdict = _derived(e, "verdict", verify_idempotent)
+    full = _derived(e, "full", is_full)
     base = dict(element=e, full=full, idempotency=verdict)
     if not full:
         return SeparabilityCertificate(mode="rejected", reason="not full", **base)
-    covectors = None
-    if e.field.is_exact:
-        covectors = (integral_covector(e, "left"), integral_covector(e, "right"))
-    try:
-        s = _derive_map(e, "right", covectors)[0]
-        base["absorption_right"] = True
-    except (NoSolution, NonUniqueSolution, MapVerificationError) as exc:
-        base["absorption_right"] = False
-        return SeparabilityCertificate(mode="rejected", reason=str(exc), **base)
-    base["antipode"] = s
-    try:
-        sp = _derive_map(e, "left", covectors)[0]
-        base["absorption_left"] = True
-    except (NoSolution, NonUniqueSolution, MapVerificationError) as exc:
-        base["absorption_left"] = False
-        return SeparabilityCertificate(mode="rejected", reason=str(exc), **base)
-    base["reverse_antipode"] = sp
+    for side, absorbs, name in (("right", "absorption_right", "antipode"),
+                                ("left", "absorption_left", "reverse_antipode")):
+        try:
+            base[name] = _map(e, side)
+        except (NoSolution, NonUniqueSolution, MapVerificationError) as exc:
+            base[absorbs] = False
+            return SeparabilityCertificate(mode="rejected", reason=str(exc), **base)
+        base[absorbs] = True
+    s, sp = base["antipode"], base["reverse_antipode"]
     try:
         central = central_element(e, s)
     except CentralityViolation as exc:
         return SeparabilityCertificate(mode="rejected", reason=str(exc), **base)
     base["central_element"] = central
     counit = counit_identities(e, s, sp)
-    swap = CheckOutcome(swap_and_map(e, s, sp) == e)
-    splitting = splitting_check(e, s)
-    det = determinacy_check(e, e, maps_e=(s, sp), maps_g=(s, sp))
-    base.update(
+    retraction = [("retraction", label) for half, label in counit.witness or () if half == "C"]
+    checks = dict(
         counit=counit,
-        swap=swap,
-        splitting=splitting,
-        determinacy=CheckOutcome(det.ok),
+        swap=CheckOutcome(swap_and_map(e, s, sp) == e),
+        splitting=CheckOutcome(not retraction, retraction or None),
+        determinacy=CheckOutcome(verdict.kind == "idempotent"),
     )
+    base.update(checks)
     if verdict.kind == "idempotent":
-        if counit.ok and swap.ok and splitting.ok and det.ok:
+        failed = [name for name, chk in checks.items() if not chk.ok]
+        if not failed:
             return SeparabilityCertificate(mode="separability_idempotent", **base)
-        failed = [
-            name
-            for name, chk in [("counit", counit), ("swap", swap),
-                              ("splitting", splitting), ("determinacy", CheckOutcome(det.ok))]
-            if not chk.ok
-        ]
         return SeparabilityCertificate(
             mode="rejected", reason="identity checks failed: " + ", ".join(failed), **base
         )

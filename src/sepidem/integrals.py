@@ -8,7 +8,8 @@ rather than through any closed form, so the closed forms of the matrix
 families stay available as independent oracles.  Existence, uniqueness
 and faithfulness are asserted during the solve.  In exact mode the
 anti-isomorphisms and their inverses are read off the same covectors
-(see the engine module), so derive_all solves each covector once.
+(see the engine module); the integrals are kept in the element's memo
+too (engine._derived), so each is derived once.
 
 Integral derivation refuses elements that do not certify as separability
 idempotents; in particular nilpotent-mode elements (E^2 = 0) are rejected
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import AlgebraElement, LinearFunctional, LinearMap
-from .engine import _absorption_solve, _derive_map, integral_covector, verify_idempotent
+from .engine import _derived, _inverse_map, _map, integral_covector, verify_idempotent
 from .errors import (
     KMSViolation,
     NotATrace,
@@ -36,13 +37,13 @@ from .tensor import TensorElement, is_full, slice_left
 
 def _require_integrable(e: TensorElement, mode):
     if mode is None:
-        kind = verify_idempotent(e).kind
+        kind = _derived(e, "verdict", verify_idempotent).kind
         if kind != "idempotent":
             raise RefusedForMode(
                 f"integrals are only defined in separability mode; this element "
                 f"classifies as {kind} (see the certificate mode)"
             )
-        if not is_full(e):
+        if not _derived(e, "full", is_full):
             raise RefusedForMode("integrals need a full element (certificate mode: rejected)")
     elif mode != "separability_idempotent":
         raise RefusedForMode(
@@ -51,7 +52,14 @@ def _require_integrable(e: TensorElement, mode):
         )
 
 
-def _faithful(fun: LinearFunctional) -> LinearFunctional:
+def _integral(e: TensorElement, side: str) -> LinearFunctional:
+    """phi on C (side "left") or psi on B (side "right"), faithful."""
+    return _derived(e, "integral", _faithful_integral, side)
+
+
+def _faithful_integral(e: TensorElement, side: str) -> LinearFunctional:
+    cov = _derived(e, "covector", integral_covector, side)
+    fun = LinearFunctional(e.right if side == "left" else e.left, cov)
     w = fun.faithfulness_witness()
     if w is not None:
         raise NotFaithful(w)
@@ -61,13 +69,13 @@ def _faithful(fun: LinearFunctional) -> LinearFunctional:
 def derive_left_integral(e: TensorElement, mode=None) -> LinearFunctional:
     """The unique phi on C with (id (x) phi) E = 1; faithful (asserted)."""
     _require_integrable(e, mode)
-    return _faithful(LinearFunctional(e.right, integral_covector(e, "left")))
+    return _integral(e, "left")
 
 
 def derive_right_integral(e: TensorElement, mode=None) -> LinearFunctional:
     """The unique psi on B with (psi (x) id) E = 1; faithful (asserted)."""
     _require_integrable(e, mode)
-    return _faithful(LinearFunctional(e.left, integral_covector(e, "right")))
+    return _integral(e, "right")
 
 
 def modular_automorphisms(s: LinearMap, sp: LinearMap, phi=None, psi=None, element=None):
@@ -79,22 +87,14 @@ def modular_automorphisms(s: LinearMap, sp: LinearMap, phi=None, psi=None, eleme
     supplied, the weak KMS laws phi(c c') = phi(c' sigma(c)) and
     psi(b b') = psi(b' sigma'(b)) are checked on all basis pairs.
 
-    In float mode the inverse anti-isomorphisms entering sigma' are
-    re-derived from the element by fresh absorption solves when it is
-    supplied: inverting the derived matrices would square their condition
-    numbers, while the fresh solves stay at the conditioning of the
-    original data.
+    With the element supplied, S^-1 and S'^-1 are its derived inverses
+    (engine._inverse_map: no matrix inversion, and in float mode no
+    squared condition number); without it they are inverted from s and sp.
     """
-    if element is not None and not element.field.is_exact:
-        return _modular_pair(s, sp, *_float_inverse_antipodes(element), phi, psi)
-    return _modular_pair(s, sp, s.inverse(), sp.inverse(), phi, psi)
-
-
-def _float_inverse_antipodes(e: TensorElement):
-    return _absorption_solve(e, "right_inv"), _absorption_solve(e, "left_inv")
-
-
-def _modular_pair(s, sp, s_inv, sp_inv, phi, psi):
+    if element is None:
+        s_inv, sp_inv = s.inverse(), sp.inverse()
+    else:
+        s_inv, sp_inv = _inverse_map(element, "right"), _inverse_map(element, "left")
     sigma = s.compose(sp)
     sigma_prime = s_inv.compose(sp_inv)
     for m in (sigma, sigma_prime):
@@ -156,18 +156,12 @@ class DerivedData:
 def derive_all(e: TensorElement, mode=None) -> DerivedData:
     """S, S', phi, psi, sigma and sigma' of one element, with every check of
     derive_antipode, derive_reverse_antipode, derive_left_integral,
-    derive_right_integral and modular_automorphisms.  Each covector is
-    solved once; in exact mode the verified inverses S^-1 and S'^-1 that
-    come with S and S' are reused for sigma'."""
+    derive_right_integral and modular_automorphisms (with the element);
+    S, S', phi, psi, S^-1 and S'^-1 come from the element's memo."""
     _require_integrable(e, mode)
-    covectors = (integral_covector(e, "left"), integral_covector(e, "right"))
-    phi = _faithful(LinearFunctional(e.right, covectors[0]))
-    psi = _faithful(LinearFunctional(e.left, covectors[1]))
-    s, s_inv = _derive_map(e, "right", covectors)
-    sp, sp_inv = _derive_map(e, "left", covectors)
-    if not e.field.is_exact:
-        s_inv, sp_inv = _float_inverse_antipodes(e)
-    sigma, sigma_prime = _modular_pair(s, sp, s_inv, sp_inv, phi, psi)
+    phi, psi = _integral(e, "left"), _integral(e, "right")
+    s, sp = _map(e, "right"), _map(e, "left")
+    sigma, sigma_prime = modular_automorphisms(s, sp, phi, psi, element=e)
     return DerivedData(e, s, sp, phi, psi, sigma, sigma_prime)
 
 

@@ -286,8 +286,7 @@ def solve_unique(a, b, field):
         row = list(a[idx]) + list(b[idx])
         for prow, pc in zip(pivots, pivot_cols):
             f = row[pc]
-            if not f or field.negligible(f, scale):
-                row[pc] = field.zero
+            if not f:
                 continue
             for j, y in enumerate(prow):
                 if y:
@@ -300,7 +299,7 @@ def solve_unique(a, b, field):
             row[j] = field.one
             for prow in pivots:
                 f = prow[j]
-                if f and not field.negligible(f, scale):
+                if f:
                     for t, y in enumerate(row):
                         if y:
                             prow[t] = prow[t] - f * y

@@ -240,9 +240,6 @@ class ExactField:
     def negligible(self, a, scale=1) -> bool:
         return not a
 
-    def pivot_size(self, a):
-        return 1  # any nonzero pivot is as good as another
-
     def __eq__(self, other):
         return isinstance(other, ExactField)
 
@@ -305,9 +302,6 @@ class Float64Field:
 
     def negligible(self, a, scale=1) -> bool:
         return abs(a) <= self.tol * max(1.0, scale)
-
-    def pivot_size(self, a):
-        return abs(a)
 
     def __eq__(self, other):
         return isinstance(other, Float64Field) and other.tol == self.tol

@@ -19,7 +19,8 @@ from .algebra import (
     trace_functional,
     transpose_anti_map,
 )
-from .engine import CheckOutcome, SeparabilityCertificate, certify
+from .engine import (CheckOutcome, SeparabilityCertificate, _derived, _inverse_map, _map,
+                     certify, integral_covector)
 from .errors import (
     CrossBlockLeakage,
     GramNotPositiveDefinite,
@@ -31,7 +32,7 @@ from .errors import (
     SolutionSpaceDimensionNotOne,
     TwistError,
 )
-from .integrals import DerivedData, derive_all, derive_left_integral, derive_right_integral
+from .integrals import DerivedData, derive_all
 from .tensor import TensorElement
 
 
@@ -234,7 +235,7 @@ class TwistData:
     s: AlgebraElement
 
 
-def recover_twist(e: TensorElement, s: LinearMap = None, sp: LinearMap = None) -> TwistData:
+def recover_twist(e: TensorElement) -> TwistData:
     """Invert the twist construction on a single matrix block.
 
     With S0 the transposition, S'(c) = r S0(c) r^-1 and S(b) = S0(s b s^-1)
@@ -252,12 +253,7 @@ def recover_twist(e: TensorElement, s: LinearMap = None, sp: LinearMap = None) -
         )
     if B != C:
         raise SepidemError("twist recovery identifies the two tensor legs; presentations must agree")
-    from .engine import derive_antipode, derive_reverse_antipode
-
-    if s is None:
-        s = derive_antipode(e)
-    if sp is None:
-        sp = derive_reverse_antipode(e)
+    s, sp = _map(e, "right"), _map(e, "left")
     f = e.field
     n = B.blocks[0]
     s0_b = transpose_anti_map(B)
@@ -353,8 +349,8 @@ def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
         cert = certify(comp)
         if not cert.ok and cert.mode != "nilpotent_variant":
             raise SepidemError(f"block {a_idx} does not certify: {cert.reason}")
-        twist = recover_twist(comp, s=cert.antipode, sp=cert.reverse_antipode)
-        _check_restriction(data, cert, comp, a_idx, (lo_b, hi_b), (lo_c, hi_c), f)
+        twist = recover_twist(comp)
+        _check_restriction(data, comp, a_idx, (lo_b, hi_b), (lo_c, hi_c), f)
         out.append(BlockData(a_idx, n, comp, cert, twist))
     return out
 
@@ -372,16 +368,17 @@ def _block_lookup(bounds, dim):
     return look
 
 
-def _check_restriction(data, cert, comp, a_idx, rb, rc, f):
-    """Globally derived maps and integrals agree with the per-block ones,
-    and vanish off the diagonal blocks."""
+def _check_restriction(data, comp, a_idx, rb, rc, f):
+    """Globally derived maps and integrals agree with the per-block ones
+    (read from the block's memo), and vanish off the diagonal blocks."""
     lo_b, hi_b = rb
     lo_c, hi_c = rc
-    local_sigma = cert.antipode.compose(cert.reverse_antipode)
-    local_sigma_prime = cert.antipode.inverse().compose(cert.reverse_antipode.inverse())
+    s, sp = _map(comp, "right"), _map(comp, "left")
+    local_sigma = s.compose(sp)
+    local_sigma_prime = _inverse_map(comp, "right").compose(_inverse_map(comp, "left"))
     for name, glob, local, rrows, rcols in [
-        ("S", data.antipode.rows, cert.antipode.rows, rc, rb),
-        ("S'", data.reverse_antipode.rows, cert.reverse_antipode.rows, rb, rc),
+        ("S", data.antipode.rows, s.rows, rc, rb),
+        ("S'", data.reverse_antipode.rows, sp.rows, rb, rc),
         ("sigma", data.modular.rows, local_sigma.rows, rc, rc),
         ("sigma'", data.reverse_modular.rows, local_sigma_prime.rows, rb, rb),
     ]:
@@ -395,11 +392,11 @@ def _check_restriction(data, cert, comp, a_idx, rb, rc, f):
                         raise SepidemError(f"global {name} does not restrict to block {a_idx}")
                 elif inside_rows != inside_cols and not f.is_zero(v):
                     raise SepidemError(f"global {name} leaks across block {a_idx}")
-    phi_local = derive_left_integral(comp, cert.mode)
-    psi_local = derive_right_integral(comp, cert.mode)
+    phi_local = _derived(comp, "covector", integral_covector, "left")
+    psi_local = _derived(comp, "covector", integral_covector, "right")
     for j in range(lo_c, hi_c):
-        if not f.eq(data.left_integral.covector[j], phi_local.covector[j - lo_c]):
+        if not f.eq(data.left_integral.covector[j], phi_local[j - lo_c]):
             raise SepidemError(f"global left integral does not restrict to block {a_idx}")
     for i in range(lo_b, hi_b):
-        if not f.eq(data.right_integral.covector[i], psi_local.covector[i - lo_b]):
+        if not f.eq(data.right_integral.covector[i], psi_local[i - lo_b]):
             raise SepidemError(f"global right integral does not restrict to block {a_idx}")

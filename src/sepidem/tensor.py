@@ -16,7 +16,8 @@ from .scalars import common_field
 
 
 class TensorElement:
-    __slots__ = ("left", "right", "rows")
+    # _derivation: the per-element memo of engine._derived, made on first use
+    __slots__ = ("left", "right", "rows", "_derivation")
 
     def __init__(self, left: Algebra, right: Algebra, rows):
         common_field(left.field, right.field)
@@ -24,6 +25,7 @@ class TensorElement:
         self.right = right
         f = left.field
         self.rows = tuple(tuple(f.coerce(c) for c in row) for row in rows)
+        self._derivation = None
         if len(self.rows) != left.dim or any(len(r) != right.dim for r in self.rows):
             raise SepidemError("coefficient matrix has the wrong shape")
 
@@ -34,6 +36,7 @@ class TensorElement:
         t.left = left
         t.right = right
         t.rows = tuple(tuple(r) for r in rows)
+        t._derivation = None
         return t
 
     @property
