@@ -164,11 +164,9 @@ def cmd_derive(args) -> int:
             dual = Duality(data)
             bhats = [dual.fourier(e.left.basis_element(i), "B") for i in range(e.left.dim)]
             chats = [dual.fourier(e.right.basis_element(j), "C") for j in range(e.right.dim)]
-            pairing = [[dual.pairing(bh, ch) for ch in chats] for bh in bhats]
-            extra = {"dual_pairing": matrix_literal(pairing, fld)}
+            extra = {"dual_pairing": matrix_literal(dual.pairing_table(bhats, chats), fld)}
             if e.left.star_matrix is not None and e.right.star_matrix is not None:
-                gram = [[dual.plancherel_form(c1, c2) for c1 in chats] for c2 in chats]
-                extra["plancherel_gram"] = matrix_literal(gram, fld)
+                extra["plancherel_gram"] = matrix_literal(dual.plancherel_gram(chats), fld)
     return _emit(desc, cert, extra, t0)
 
 

@@ -7,6 +7,15 @@ the linear, pairing and star structure is exposed.  A dual element always
 carries its representing element; equality is decided on covectors, which
 are canonical, and representatives can be recovered from covectors through
 the inverse of the faithfulness form.
+
+pairing_table and plancherel_gram build the CLI's dim x dim tables.  They
+compute S'^-1(b), S^-1(c), the dual star (c^)* and c* once per argument,
+and every dual star contracts against rows S(b_k)*, S'(c_l)* computed once
+per Duality, so the 2 dim dual stars (with their involution checks) cost
+O(dim^3) in all, where one pairing or plancherel_form call per entry took
+2 dim^2 of them, O(dim^4).  Every entry still asserts its identities (both
+closed reductions of the pairing; the Plancherel identity), and every dual
+star its representative law and involutivity.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ class Duality:
         self._form_c_inv = None
         self._s_inv = _inverse_map(e, "right")
         self._sp_inv = _inverse_map(e, "left")
+        self._star_rows_memo = {}
 
     @classmethod
     def from_element(cls, e: TensorElement, mode=None) -> "Duality":
@@ -113,20 +123,23 @@ class Duality:
         coefficient matrix; the two closed reductions
         phi(S'^-1(b) c) and psi(b S^-1(c)) are asserted to agree with it.
         """
-        if bhat.side != "B" or chat.side != "C":
-            raise SepidemError("pairing takes a B-side and a C-side dual element")
+        return self.pairing_table([bhat], [chat])[0][0]
+
+    def pairing_table(self, bhats, chats):
+        """[[<bh, ch> for ch in chats] for bh in bhats], each entry asserted
+        as in pairing, with S'^-1(b) and S^-1(c) computed once per element."""
+        _require_side(bhats, "B", _PAIRING_SIDES)
+        _require_side(chats, "C", _PAIRING_SIDES)
+        sp_inv_b = [self._sp_inv(bh.representative) for bh in bhats]
+        s_inv_c = [self._s_inv(ch.representative) for ch in chats]
+        return [[self._pairing_entry(bh, ch, x, y) for ch, y in zip(chats, s_inv_c)]
+                for bh, x in zip(bhats, sp_inv_b)]
+
+    def _pairing_entry(self, bhat, chat, sp_inv_b, s_inv_c):
         f = self.field
-        acc = f.zero
-        for i, row in enumerate(self.element.rows):
-            bi = bhat.covector[i]
-            if not bi:
-                continue
-            for j, m in enumerate(row):
-                if m and chat.covector[j]:
-                    acc = acc + bi * m * chat.covector[j]
-        b, c = bhat.representative, chat.representative
-        red1 = self.data.left_integral(self._sp_inv(b) * c)
-        red2 = self.data.right_integral(b * self._s_inv(c))
+        acc = _contract(bhat.covector, self.element.rows, chat.covector, f)
+        red1 = self.data.left_integral(sp_inv_b * chat.representative)
+        red2 = self.data.right_integral(bhat.representative * s_inv_c)
         if not (f.eq(acc, red1) and f.eq(acc, red2)):
             raise SepidemError("pairing reductions disagree; derived maps are inconsistent")
         return acc
@@ -170,53 +183,79 @@ class Duality:
         """
         if self.B.star_matrix is None or self.C.star_matrix is None:
             raise NoStarStructure("dual star needs star structures on both algebras")
-        f = self.field
         if w.side == "B":
-            cov = []
-            for l in range(self.C.dim):
-                t = self.data.reverse_antipode.on_basis(l).star()
-                cov.append(f.conj(_apply_covector(w.covector, t.coeffs, f)))
-            rep = self.data.antipode(w.representative.star())
-            out = DualElement("C", rep, tuple(cov))
-            if self.fourier(rep, "C") != out:
-                raise SepidemError("dual star representative law fails")
+            side, rep_map = "C", self.data.antipode
         elif w.side == "C":
-            cov = []
-            for k in range(self.B.dim):
-                t = self.data.antipode.on_basis(k).star()
-                cov.append(f.conj(_apply_covector(w.covector, t.coeffs, f)))
-            rep = self.data.reverse_antipode(w.representative.star())
-            out = DualElement("B", rep, tuple(cov))
-            if self.fourier(rep, "B") != out:
-                raise SepidemError("dual star representative law fails")
+            side, rep_map = "B", self.data.reverse_antipode
         else:
             raise SepidemError(f"unknown side {w.side!r}")
+        f = self.field
+        cov = [f.conj(_apply_covector(w.covector, t, f)) for t in self._star_rows(w.side)]
+        rep = rep_map(w.representative.star())
+        out = DualElement(side, rep, tuple(cov))
+        if self.fourier(rep, side) != out:
+            raise SepidemError("dual star representative law fails")
         if _check_involution and self.dual_star(out, _check_involution=False) != w:
             raise SepidemError("dual star is not involutive")
         return out
+
+    def _star_rows(self, side):
+        """Coefficients of S'(c_l)* (B-side input) or S(b_k)* (C-side input),
+        the rows a dual star contracts against; computed once per side."""
+        rows = self._star_rows_memo.get(side)
+        if rows is None:
+            t = self.data.reverse_antipode if side == "B" else self.data.antipode
+            rows = [t.on_basis(k).star().coeffs for k in range(t.source.dim)]
+            self._star_rows_memo[side] = rows
+        return rows
 
     # -- Plancherel ----------------------------------------------------------------
 
     def plancherel_form(self, chat1: DualElement, chat2: DualElement):
         """<c1^, c2^> = <E, (c2^)* (x) c1^>, asserted equal to phi(c2* c1)."""
-        if chat1.side != "C" or chat2.side != "C":
-            raise SepidemError("the Plancherel form takes two C-side dual elements")
+        _require_side((chat1, chat2), "C", _PLANCHEREL_SIDES)
+        return self._plancherel_entry(chat1, self.dual_star(chat2),
+                                      chat2.representative.star())
+
+    def plancherel_gram(self, chats):
+        """[[<c1^, c2^> for c1 in chats] for c2 in chats], each entry
+        asserted as in plancherel_form, with (c2^)* (its laws asserted) and
+        c2* computed once per c2."""
+        _require_side(chats, "C", _PLANCHEREL_SIDES)
+        gram = []
+        for c2 in chats:
+            star2, c2_star = self.dual_star(c2), c2.representative.star()
+            gram.append([self._plancherel_entry(c1, star2, c2_star) for c1 in chats])
+        return gram
+
+    def _plancherel_entry(self, chat1, star2, c2_star):
         f = self.field
-        star2 = self.dual_star(chat2)
-        acc = f.zero
-        for i, row in enumerate(self.element.rows):
-            si = star2.covector[i]
-            if not si:
-                continue
-            for j, m in enumerate(row):
-                if m and chat1.covector[j]:
-                    acc = acc + si * m * chat1.covector[j]
-        direct = self.data.left_integral(
-            chat2.representative.star() * chat1.representative
-        )
-        if not f.eq(acc, direct):
+        acc = _contract(star2.covector, self.element.rows, chat1.covector, f)
+        if not f.eq(acc, self.data.left_integral(c2_star * chat1.representative)):
             raise SepidemError("Plancherel identity fails; derived data inconsistent")
         return acc
+
+
+_PAIRING_SIDES = "pairing takes a B-side and a C-side dual element"
+_PLANCHEREL_SIDES = "the Plancherel form takes two C-side dual elements"
+
+
+def _require_side(duals, side, message):
+    if any(w.side != side for w in duals):
+        raise SepidemError(message)
+
+
+def _contract(x, rows, y, field):
+    """sum_ij x_i m_ij y_j over the coefficient matrix m, zeros skipped."""
+    acc = field.zero
+    for i, row in enumerate(rows):
+        xi = x[i]
+        if not xi:
+            continue
+        for j, m in enumerate(row):
+            if m and y[j]:
+                acc = acc + xi * m * y[j]
+    return acc
 
 
 def _apply_covector(cov, coeffs, field):

@@ -287,10 +287,13 @@ def _verify_map(e: TensorElement, side: str, t: LinearMap, t_inv: LinearMap):
     except NotAntiMultiplicative as exc:
         failure = exc
     if failure is not None or not all(absorbs(g) for g in source.generating_set()):
-        for k in range(source.dim):
-            if not absorbs(source.basis_element(k)):
-                raise NoSolution(side, source.labels[k])
-        raise failure or MapVerificationError("absorption fails on a generator")
+        try:
+            for k in range(source.dim):
+                if not absorbs(source.basis_element(k)):
+                    raise NoSolution(side, source.labels[k])
+            raise failure or MapVerificationError("absorption fails on a generator")
+        finally:
+            failure = None  # its traceback holds this frame: no cycle left behind
     if t_inv.compose(t) != identity_map(source):
         raise MapVerificationError("derived anti-isomorphism is not bijective")
 

@@ -257,9 +257,9 @@ def recover_twist(e: TensorElement) -> TwistData:
     f = e.field
     n = B.blocks[0]
     s0_b = transpose_anti_map(B)
-    s0_c = transpose_anti_map(C)
+    s0_c_inv = transpose_anti_map(C).inverse()
     r_elt = _intertwiner(B, lambda k: sp(s0_b.on_basis(k)))
-    s_elt = _intertwiner(B, lambda k: s0_c.inverse()(s.on_basis(k)))
+    s_elt = _intertwiner(B, lambda k: s0_c_inv(s.on_basis(k)))
     # gauge: first nonzero entry of r becomes 1
     pivot = next(c for c in r_elt.coeffs if c)
     r_elt = (f.one / pivot) * r_elt

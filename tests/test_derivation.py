@@ -3,6 +3,7 @@ fields certify reads off earlier work agree with the exhaustive checks,
 and float mode reads its derived data at the accuracy of the input."""
 
 import collections
+import gc
 import importlib
 import json
 import random
@@ -105,6 +106,38 @@ def test_cli_decompose_derives_once_per_block(calls, tmp_path, capsys):
     code, out = _cli(tmp_path, capsys, doc, "decompose")
     assert code == 0 and len(json.loads(out)["derived"]["blocks"]) == 2
     assert_each_step_once(calls, 3)  # the sum and its two blocks
+
+
+def test_cli_dual_stars_each_dual_once(tmp_path, capsys, monkeypatch):
+    """The Plancherel table takes one dual star (and its involution check,
+    a second call) per C-side dual, not one per table entry."""
+    original = sd.Duality.dual_star
+    calls = []
+
+    def counted(self, w, *args, **kwargs):
+        calls.append(w)
+        return original(self, w, *args, **kwargs)
+
+    monkeypatch.setattr(sd.Duality, "dual_star", counted)
+    code, out = _cli(tmp_path, capsys, {"E": {"kind": "E0", "n": 3}}, "derive", "--what=dual")
+    assert code == 0 and "plancherel_gram" in json.loads(out)["derived"]
+    assert len(calls) == 2 * 9
+
+
+def test_rejected_element_leaves_no_garbage_cycle(m2):
+    rng = random.Random(3)
+    rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+    gc.collect()
+    gc.disable()
+    try:
+        e = sd.TensorElement(m2, m2, rows)
+        assert sd.certify(e).mode == "rejected"
+        with pytest.raises(sd.errors.NoSolution):
+            sd.derive_antipode(e)
+        del e
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_failed_step_raises_alike_every_time(m2):

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 import sepidem as sd
@@ -174,3 +177,81 @@ def test_plancherel_is_hermitian_psd(dual_75, m2):
     assert linalg.is_hermitian(gram, m2.field)
     ok, _ = linalg.hermitian_psd(gram, m2.field)
     assert ok
+
+
+# -- the CLI's tables ----------------------------------------------------------------
+
+
+def _hats(dual):
+    e = dual.element
+    return ([dual.fourier(e.left.basis_element(i), "B") for i in range(e.left.dim)],
+            [dual.fourier(e.right.basis_element(j), "C") for j in range(e.right.dim)])
+
+
+def _table_instances(field):
+    rng = random.Random(11)
+    twists = [sd.involutive_twisted_idempotent(sd.random_involutive_diagonal(n, rng, field=field))
+              for n in (2, 3)]
+    e0 = sd.standard_idempotent(2, field=field)
+    two_blocks = sd.direct_sum_idempotent([sd.standard_idempotent(1, field=field), twists[0]])
+    return [e0, *twists, two_blocks]
+
+
+@pytest.mark.parametrize("field", [sd.EXACT, sd.FLOAT64], ids=["exact", "float64"])
+def test_tables_equal_the_entrywise_forms(field):
+    for e in _table_instances(field):
+        dual = sd.Duality.from_element(e, "separability_idempotent")
+        bhats, chats = _hats(dual)
+        assert dual.pairing_table(bhats, chats) == [
+            [dual.pairing(bh, ch) for ch in chats] for bh in bhats]
+        assert dual.plancherel_gram(chats) == [
+            [dual.plancherel_form(c1, c2) for c1 in chats] for c2 in chats]
+
+
+def test_tables_check_sides(dual_e0):
+    bhats, chats = _hats(dual_e0)
+    with pytest.raises(SepidemError, match="pairing takes"):
+        dual_e0.pairing_table(chats, chats)
+    with pytest.raises(SepidemError, match="Plancherel form takes"):
+        dual_e0.plancherel_gram(bhats)
+
+
+def _scaled_map(t, k):
+    return sd.LinearMap(t.source, t.target, [[k * c for c in row] for row in t.rows])
+
+
+def _scaled_functional(f, k):
+    return sd.LinearFunctional(f.algebra, [k * c for c in f.covector])
+
+
+# Each corruption of the derived data trips one check of the tables, run in
+# the CLI's order: 2 phi scales one reduction of the pairing but not the
+# other; 2 S breaks (c^)* = (S'(c*))^; 2 S and 2 S' keep that law on both
+# sides but give w** = 4 w; -S and -S' negate the dual star, which stays a
+# lawful involution but flips the sign of the Plancherel form.
+CORRUPTIONS = {
+    "pairing reductions disagree":
+        lambda d: {"left_integral": _scaled_functional(d.left_integral, 2)},
+    "dual star representative law fails":
+        lambda d: {"antipode": _scaled_map(d.antipode, 2)},
+    "dual star is not involutive":
+        lambda d: {"antipode": _scaled_map(d.antipode, 2),
+                   "reverse_antipode": _scaled_map(d.reverse_antipode, 2)},
+    "Plancherel identity fails":
+        lambda d: {"antipode": _scaled_map(d.antipode, -1),
+                   "reverse_antipode": _scaled_map(d.reverse_antipode, -1)},
+}
+
+
+@pytest.mark.parametrize("message", list(CORRUPTIONS))
+def test_table_checks_fail_on_corrupted_data(involutive_75, message):
+    def tables(data):
+        dual = sd.Duality(data)
+        bhats, chats = _hats(dual)
+        dual.pairing_table(bhats, chats)
+        dual.plancherel_gram(chats)
+
+    data = sd.derive_all(involutive_75, "separability_idempotent")
+    tables(data)
+    with pytest.raises(SepidemError, match=message):
+        tables(dataclasses.replace(data, **CORRUPTIONS[message](data)))

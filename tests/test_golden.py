@@ -5,7 +5,9 @@ samples of ``scripts/make_sample_instances.py`` plus exact twisted and
 involutive documents with n = 2 and 3) and, for each of them, the exit
 code, standard error and certificate document (``timing_seconds``
 dropped) of ``verify``, ``derive --what=antipodes|integrals|modular|dual``
-and ``decompose``.  Regenerate it only for an intended change of output:
+and ``decompose``, and of ``derive --what=dual --mode=float`` on the two
+documents of dimension 9 listed in SOME_DOCUMENTS.  Regenerate it only for
+an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -30,7 +32,10 @@ COMMANDS = {
     "derive-modular": ["derive", "--what=modular"],
     "derive-dual": ["derive", "--what=dual"],
     "decompose": ["decompose"],
+    "derive-dual-float": ["derive", "--what=dual", "--mode=float"],
 }
+# commands run on the named documents only
+SOME_DOCUMENTS = {"derive-dual-float": ("e0_n3.json", "involutive_twisted_n3.json")}
 CONSTRUCTED = [
     (f"{kind}_n{n}.json", [f"--kind={kind}", f"--n={n}", f"--seed={seed}"])
     for kind, seeds in (("twisted", (5, 6)), ("involutive_twisted", (7, 8)))
@@ -66,20 +71,24 @@ def instance_documents():
     return docs
 
 
+def commands_for(name):
+    return [c for c in COMMANDS if name in SOME_DOCUMENTS.get(c, (name,))]
+
+
 def capture(tmp):
     golden = {}
     for name, doc in instance_documents().items():
         path = pathlib.Path(tmp) / name
         path.write_text(json.dumps(doc))
         golden[name] = {"instance": doc,
-                        "runs": {c: run_command(path, c) for c in COMMANDS}}
+                        "runs": {c: run_command(path, c) for c in commands_for(name)}}
     return golden
 
 
 def _cases():
     golden = json.loads(GOLDEN.read_text())
     return [(name, command, entry["instance"], entry["runs"][command])
-            for name, entry in golden.items() for command in COMMANDS]
+            for name, entry in golden.items() for command in commands_for(name)]
 
 
 @pytest.mark.parametrize("name,command,instance,want",
