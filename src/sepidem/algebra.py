@@ -2,22 +2,27 @@
 
 An Algebra stores its structure constants sparsely: ``mult[i][j]`` is the
 tuple of ``(k, coeff)`` pairs of the basis product b_i * b_j.  Construction
-eagerly verifies associativity, the unit laws and (for the structure-
-constant constructor) non-degeneracy of the product, since every
-derivation downstream assumes them.  Multi-matrix algebras additionally
-carry a block presentation: an ordered list of block sizes, the basis
-being the matrix units of each block in row-major order.
+eagerly verifies associativity and the unit laws, since every derivation
+downstream assumes them; a two-sided unit makes the product
+non-degenerate (x A = 0 gives x = x 1 = 0).  Multi-matrix algebras
+additionally carry a block presentation: an ordered list of block sizes,
+the basis being the matrix units of each block in row-major order.
+
+An exact algebra also keeps its table as integer numerators over one
+common denominator (see "integer form" below), and every product loop
+runs on Python ints over it.
 
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import linalg
 from .errors import (
     AssociativityViolation,
     BackendMismatch,
-    DegenerateProduct,
     NoBlockPresentation,
     NotAntiMultiplicative,
     NotInvertible,
@@ -30,10 +35,11 @@ from .scalars import EXACT, common_field
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "labels", "mult", "unit", "star_matrix", "blocks", "_hash")
+    # _table: the integer form of mult (see _integer_table)
+    __slots__ = ("field", "dim", "labels", "mult", "unit", "star_matrix", "blocks", "_hash",
+                 "_table")
 
-    def __init__(self, field, labels, mult, unit, star_matrix=None, blocks=None,
-                 check_nondegenerate=False):
+    def __init__(self, field, labels, mult, unit, star_matrix=None, blocks=None):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
@@ -41,6 +47,7 @@ class Algebra:
             tuple(tuple((int(k), field.coerce(c)) for k, c in cell) for cell in row)
             for row in mult
         )
+        self._table = _integer_table(self.mult, field)
         self.unit = tuple(field.coerce(c) for c in unit)
         self.star_matrix = (
             tuple(tuple(field.coerce(c) for c in row) for row in star_matrix)
@@ -49,85 +56,59 @@ class Algebra:
         )
         self.blocks = tuple(int(n) for n in blocks) if blocks is not None else None
         self._hash = None
-        self._validate(check_nondegenerate)
+        self._validate()
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, check_nondegenerate):
+    def _validate(self):
         d = self.dim
+        f = self.field
         if len(self.mult) != d or any(len(r) != d for r in self.mult):
             raise SepidemError("structure constant table has the wrong shape")
+        # the kernels index rows by k, where a negative k would wrap around
+        if any(not 0 <= k < d for row in self.mult for cell in row for k, _ in cell):
+            raise SepidemError("structure constant table names a basis index out of range")
         if len(self.unit) != d:
             raise SepidemError("unit coefficient vector has the wrong length")
+        # (b_i b_j) b_k against b_i (b_j b_k), row k for every k at once;
+        # both sides are numerators over the square of the table's denominator
         for i in range(d):
             for j in range(d):
-                for k in range(d):
-                    lhs = self._mul_sparse(self.mult[i][j], k)
-                    rhs = self._mul_sparse_left(i, self.mult[j][k])
-                    if not _sparse_eq(lhs, rhs, self.field):
-                        raise AssociativityViolation(i, j, k)
+                _, lhs = linalg.multilinear(partial(_products_then, i, j), d, d, f,
+                                            self._table, self._table)
+                _, rhs = linalg.multilinear(partial(_then_products, i, j), d, d, f,
+                                            self._table, self._table)
+                if lhs != rhs:  # literal equality decides exact mode at once
+                    for k in range(d):
+                        if not linalg.mat_eq([lhs[k]], [rhs[k]], f):
+                            raise AssociativityViolation(i, j, k)
+        # 1 b_j = b_j = b_j 1: the columns j of L_1 and R_1 are the unit vector e_j
+        left, right = self.left_mult_matrix(self.unit), self.right_mult_matrix(self.unit)
         for j in range(d):
-            if not self._acts_as_unit(j):
+            if not all(f.eq(m[k][j], f.one if k == j else f.zero)
+                       for m in (left, right) for k in range(d)):
                 raise NotUnital(f"unit fails on basis element {self.labels[j]}")
-        if check_nondegenerate:
-            witness = product_degeneracy_witness(self.mult, d, self.field)
-            if witness is not None:
-                side, coeffs = witness
-                raise DegenerateProduct(AlgebraElement(self, coeffs))
-        # a two-sided unit already forces non-degeneracy: L_x(1) = x = R_x(1)
         if self.star_matrix is not None:
             self._validate_star()
         if self.blocks is not None:
             self._validate_blocks()
 
-    def _mul_sparse(self, terms, k):
-        # (sum_m c_m b_m) * b_k as a sparse accumulation
-        acc = {}
-        for m, c in terms:
-            for t, c2 in self.mult[m][k]:
-                acc[t] = acc.get(t, self.field.zero) + c * c2
-        return acc
-
-    def _mul_sparse_left(self, i, terms):
-        acc = {}
-        for m, c in terms:
-            for t, c2 in self.mult[i][m]:
-                acc[t] = acc.get(t, self.field.zero) + c * c2
-        return acc
-
-    def _acts_as_unit(self, j):
-        left = {}
-        right = {}
-        for i, c in enumerate(self.unit):
-            if not c:
-                continue
-            for k, c2 in self.mult[i][j]:
-                left[k] = left.get(k, self.field.zero) + c * c2
-            for k, c2 in self.mult[j][i]:
-                right[k] = right.get(k, self.field.zero) + c * c2
-        expect = {j: self.field.one}
-        return _sparse_eq(left, expect, self.field) and _sparse_eq(right, expect, self.field)
-
     def _validate_star(self):
         f = self.field
-        sm = self.star_matrix
+        sm = [list(r) for r in self.star_matrix]
         d = self.dim
         # star is antilinear, so star(star(b_i)) has matrix SM * conj(SM)
-        for m in range(d):
-            for i in range(d):
-                acc = f.zero
-                for k in range(d):
-                    if sm[m][k] and sm[k][i]:
-                        acc = acc + sm[m][k] * f.conj(sm[k][i])
-                if not f.eq(acc, f.one if m == i else f.zero):
-                    raise SepidemError("star map is not involutive")
+        square = linalg.mat_mul(sm, [[f.conj(c) for c in r] for r in sm], f)
+        if not linalg.mat_eq(square, linalg.identity(d, f), f):
+            raise SepidemError("star map is not involutive")
         unit_elem = AlgebraElement(self, self.unit)
         if unit_elem.star() != unit_elem:
             raise SepidemError("star does not fix the unit")
+        stars = [self.basis_element(i).star() for i in range(d)]
         for i in range(d):
             for j in range(d):
                 lhs = self.basis_element(i) * self.basis_element(j)
-                if lhs.star() != self.basis_element(j).star() * self.basis_element(i).star():
+                if lhs.star() != stars[j] * stars[i]:
                     raise SepidemError(
                         f"star is not anti-multiplicative on ({self.labels[i]}, {self.labels[j]})"
                     )
@@ -226,46 +207,27 @@ class Algebra:
         return LinearFunctional(self, [self.field.coerce(c) for c in covector])
 
     def product_coeffs(self, x, y):
-        zero = self.field.zero
-        out = [zero] * self.dim
-        mult = self.mult
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            mi = mult[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                s = xi * yj
-                for k, c in mi[j]:
-                    out[k] = out[k] + s * c
-        return out
+        f = self.field
+        return linalg.multilinear_values(_product_kernel, 1, self.dim, f, _operand([x], f),
+                                         _operand([y], f), self._table)[0]
 
     def left_mult_matrix(self, x):
         """Matrix L with L[k][i] = coefficient of b_k in x * b_i."""
-        zero = self.field.zero
-        rows = [[zero] * self.dim for _ in range(self.dim)]
-        for j, xj in enumerate(x):
-            if not xj:
-                continue
-            mj = self.mult[j]
-            for i in range(self.dim):
-                for k, c in mj[i]:
-                    rows[k][i] = rows[k][i] + xj * c
-        return rows
+        return linalg.multilinear_values(_left_kernel, self.dim, self.dim, self.field,
+                                         _operand([x], self.field), self._table)
 
     def right_mult_matrix(self, x):
         """Matrix R with R[k][i] = coefficient of b_k in b_i * x."""
-        zero = self.field.zero
-        rows = [[zero] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            mi = self.mult[i]
-            for j, xj in enumerate(x):
-                if not xj:
-                    continue
-                for k, c in mi[j]:
-                    rows[k][i] = rows[k][i] + xj * c
-        return rows
+        return linalg.multilinear_values(_right_kernel, self.dim, self.dim, self.field,
+                                         _operand([x], self.field), self._table)
+
+    def tensor_product_rows(self, other, x, y):
+        """Coefficient matrix of x y in self (x) other, for the coefficient
+        matrices x and y (entry (i, j) the coefficient of b_i (x) c_j)."""
+        f = self.field
+        return linalg.multilinear_values(_tensor_kernel, self.dim, other.dim, f,
+                                         _operand(x, f), _operand(y, f), self._table,
+                                         other._table)
 
     def star_coeffs(self, coeffs):
         if self.star_matrix is None:
@@ -342,6 +304,119 @@ def _sparse_eq(a, b, field):
         if k not in a and not field.eq(w, field.zero):
             return False
     return True
+
+
+# -- integer form ---------------------------------------------------------------
+#
+# The product loops below are kernels for linalg.multilinear: they take one
+# part of each operand, exact parts holding integer numerators.  The table
+# operand keeps mult's shape, cells[i][j] the (k, value) pairs of b_i b_j.
+
+
+def _integer_table(mult, field):
+    d = len(mult)
+    den, parts = linalg.split([cell for row in mult for cell in row], field)
+    return den, tuple((p, tuple(tuple(map(tuple, cells[r * d:(r + 1) * d])) for r in range(d)))
+                      for p, cells in parts)
+
+
+def _operand(rows, field):
+    """Dense rows as a linalg.multilinear operand."""
+    return linalg.split([[(j, x) for j, x in enumerate(row) if x] for row in rows], field)
+
+
+# The kernels.  A vector output is the single row out[0].
+
+
+def _product_kernel(out, x, y, cells):
+    out, y = out[0], y[0]
+    for i, xi in x[0]:
+        mi = cells[i]
+        for j, yj in y:
+            s = xi * yj
+            for k, c in mi[j]:
+                out[k] += s * c
+
+
+def _left_kernel(out, x, cells):
+    d = len(cells)
+    for j, xj in x[0]:
+        mj = cells[j]
+        for i in range(d):
+            for k, c in mj[i]:
+                out[k][i] += xj * c
+
+
+def _right_kernel(out, x, cells):
+    x = x[0]
+    for i, mi in enumerate(cells):
+        for j, xj in x:
+            for k, c in mi[j]:
+                out[k][i] += xj * c
+
+
+def _form_kernel(out, cov, cells):
+    dense = [0] * len(cells)
+    for k, v in cov[0]:
+        dense[k] = v
+    for mi, row in zip(cells, out):
+        for j, cell in enumerate(mi):
+            acc = row[j]
+            for k, c in cell:
+                v = dense[k]
+                if v:
+                    acc += c * v
+            row[j] = acc
+
+
+def _tensor_kernel(out, x, y, b_cells, c_cells):
+    bd, cd = len(b_cells), len(c_cells)
+    for i2, frow in enumerate(y):
+        if not frow:
+            continue
+        # w[j] = sparse coefficients of c_j * frow
+        w = []
+        for j in range(cd):
+            acc = {}
+            mj = c_cells[j]
+            for j2, v in frow:
+                for l, c in mj[j2]:
+                    acc[l] = acc.get(l, 0) + v * c
+            w.append([(l, v) for l, v in acc.items() if v])
+        # t = x * (1 (x) frow)
+        t = [[0] * cd for _ in range(bd)]
+        for i, xrow in enumerate(x):
+            trow = t[i]
+            for j, e in xrow:
+                for l, v in w[j]:
+                    trow[l] += e * v
+        # out += (t with b_i2 acting on the left index from the right)
+        for i in range(bd):
+            trow = t[i]
+            if not any(trow):
+                continue
+            for k, c in b_cells[i][i2]:
+                orow = out[k]
+                for l, v in enumerate(trow):
+                    if v:
+                        orow[l] += c * v
+
+
+def _products_then(i, j, out, p, q):
+    """(b_i b_j) b_k for every k, in row out[k]."""
+    for m, c in p[i][j]:
+        for cell, orow in zip(q[m], out):
+            for t, c2 in cell:
+                orow[t] += c * c2
+
+
+def _then_products(i, j, out, p, q):
+    """b_i (b_j b_k) for every k, in row out[k]."""
+    qi = q[i]
+    for cell, orow in zip(p[j], out):
+        for m, c in cell:
+            for t, c2 in qi[m]:
+                orow[t] += c * c2
 
 
 class AlgebraElement:
@@ -444,17 +519,8 @@ class LinearFunctional:
     def form_matrix(self):
         """The bilinear form (x, y) -> f(xy) on basis pairs."""
         a = self.algebra
-        zero = a.field.zero
-        rows = [[zero] * a.dim for _ in range(a.dim)]
-        for i in range(a.dim):
-            mi = a.mult[i]
-            for j in range(a.dim):
-                acc = zero
-                for k, c in mi[j]:
-                    if self.covector[k]:
-                        acc = acc + c * self.covector[k]
-                rows[i][j] = acc
-        return rows
+        return linalg.multilinear_values(_form_kernel, a.dim, a.dim, a.field,
+                                         _operand([self.covector], a.field), a._table)
 
     def is_faithful(self):
         """Non-degeneracy of both induced pairings; they share one matrix."""
@@ -762,8 +828,9 @@ def direct_sum(components) -> Algebra:
 def structure_constant_algebra(constants, unit, labels=None, field=EXACT,
                                star_matrix=None) -> Algebra:
     """Algebra from a dense structure-constant tensor c[i][j][k]
-    (b_i b_j = sum_k c[i][j][k] b_k).  Verifies associativity,
-    unitality and non-degeneracy before returning."""
+    (b_i b_j = sum_k c[i][j][k] b_k).  Verifies associativity and
+    unitality before returning; the unit makes the product non-degenerate
+    (see product_degeneracy_witness)."""
     dim = len(constants)
     if labels is None:
         labels = [f"b{i + 1}" for i in range(dim)]
@@ -773,13 +840,12 @@ def structure_constant_algebra(constants, unit, labels=None, field=EXACT,
         raise SepidemError("structure constant tensor is not well shaped")
     mult = [
         [
-            tuple((k, field.coerce(c)) for k, c in enumerate(cell) if not field.is_zero(field.coerce(c)))
+            tuple((k, c) for k, c in enumerate(map(field.coerce, cell)) if not field.is_zero(c))
             for cell in row
         ]
         for row in constants
     ]
-    return Algebra(field, labels, mult, unit, star_matrix, blocks=None,
-                   check_nondegenerate=True)
+    return Algebra(field, labels, mult, unit, star_matrix, blocks=None)
 
 
 def product_degeneracy_witness(mult, dim, field):

@@ -41,6 +41,13 @@ certify reads two fields off work it has already done:
                   = gamma(x) (b (x) c).
 
 splitting_check and determinacy_check stay public and exhaustive.
+
+certify computes the leg product z = m_C (S (x) id) E once and decides
+each half of the counit identities with one comparison.  By bilinearity
+the C half states z c = c for every c, and the B half b z' = b for every b,
+with z' = m_B (id (x) S') E.  Each holds exactly when z = 1 (z' = 1): c = 1
+gives z = 1, and 1 c = c.  Only a failed half is searched for its basis
+witnesses.  When z = 1 the centrality check is skipped, since 1 is central.
 """
 
 from __future__ import annotations
@@ -245,13 +252,10 @@ def _derive_map(e: TensorElement, side: str):
         if not _derived(e, "full", is_full):
             raise MapVerificationError("derived anti-isomorphism is not bijective")
         return t, None
-    phi = _derived(e, "covector", integral_covector, "left")
-    psi = _derived(e, "covector", integral_covector, "right")
     f = e.field
     m = [list(r) for r in e.rows]
     mt = linalg.transpose(m)
-    f_phi = LinearFunctional(e.right, phi).form_matrix()
-    f_psi = LinearFunctional(e.left, psi).form_matrix()
+    f_phi, f_psi = _form(e, "left"), _form(e, "right")
     if side == "right":
         t = LinearMap(e.left, e.right, linalg.mat_mul(mt, f_psi, f))
         t_inv = LinearMap(e.right, e.left, linalg.mat_mul(m, f_phi, f))
@@ -260,6 +264,17 @@ def _derive_map(e: TensorElement, side: str):
         t_inv = LinearMap(e.left, e.right, linalg.mat_mul(mt, linalg.transpose(f_psi), f))
     _verify_map(e, side, t, t_inv)
     return t, t_inv
+
+
+def _form(e: TensorElement, side: str):
+    """F_phi (side "left") or F_psi (side "right") of the module docstring,
+    the form matrix of the integral covector; kept in the element's memo."""
+    return _derived(e, "form", _integral_form, side)
+
+
+def _integral_form(e: TensorElement, side: str):
+    cov = _derived(e, "covector", integral_covector, side)
+    return LinearFunctional(e.right if side == "left" else e.left, cov).form_matrix()
 
 
 def _verify_map(e: TensorElement, side: str, t: LinearMap, t_inv: LinearMap):
@@ -386,28 +401,37 @@ class CheckOutcome:
 
 def counit_identities(e: TensorElement, s: LinearMap, sp: LinearMap) -> CheckOutcome:
     """Multiplying the two legs back together recovers the identity:
-    m_C (S (x) id)(E (1 (x) c)) = c and m_B (id (x) S')((b (x) 1) E) = b,
-    checked on every basis element.  By bilinearity the left-hand sides are
-    z c and b z' with z = m_C (S (x) id) E and z' = m_B (id (x) S') E."""
+    m_C (S (x) id)(E (1 (x) c)) = c and m_B (id (x) S')((b (x) 1) E) = b for
+    every c and b; the witnesses are the basis elements where they fail.
+    By bilinearity the left-hand sides are z c and b z' with
+    z = m_C (S (x) id) E and z' = m_B (id (x) S') E, so each half holds
+    exactly when z = 1 (z' = 1); see the module docstring."""
+    return _counit(e, _leg_product(e, s), sp)
+
+
+def _counit(e: TensorElement, z: AlgebraElement, sp: LinearMap) -> CheckOutcome:
     B, C = e.left, e.right
     z_prime = B.zero()
     for j in range(C.dim):
         col = [e.rows[i][j] for i in range(B.dim)]
         if any(col):
             z_prime = z_prime + AlgebraElement(B, col) * sp.on_basis(j)
-    failures = [("C", label) for label in _retraction_failures(e, s)]
-    failures += [("B", B.labels[k]) for k in range(B.dim)
-                 if B.basis_element(k) * z_prime != B.basis_element(k)]
+    failures = [("C", label) for label in _unit_failures(z, "left")]
+    failures += [("B", label) for label in _unit_failures(z_prime, "right")]
     return CheckOutcome(not failures, failures or None)
 
 
-def _retraction_failures(e: TensorElement, s: LinearMap) -> list:
-    """Labels of the basis elements c of C with m_C (S (x) id)(E (1 (x) c))
-    = z c != c: the C half of the counit identities and the retraction
+def _unit_failures(z: AlgebraElement, side: str) -> list:
+    """Labels of the basis elements x with z x != x (side "left") or
+    x z != x (side "right"): none exactly when z = 1.  For the leg product
+    z these are the C half of the counit identities and the retraction
     half of the splitting."""
-    C = e.right
-    z = _leg_product(e, s)
-    return [C.labels[l] for l in range(C.dim) if z * C.basis_element(l) != C.basis_element(l)]
+    a = z.algebra
+    if z == a.one():
+        return []
+    basis = [a.basis_element(l) for l in range(a.dim)]
+    return [a.labels[l] for l, x in enumerate(basis)
+            if (z * x if side == "left" else x * z) != x]
 
 
 def _leg_product(e: TensorElement, s: LinearMap) -> AlgebraElement:
@@ -422,13 +446,17 @@ def _leg_product(e: TensorElement, s: LinearMap) -> AlgebraElement:
 def central_element(e: TensorElement, s: LinearMap) -> AlgebraElement:
     """m_C (S (x) id) E.  Central in C; equal to 1 exactly when E^2 = E and
     to 0 when E^2 = 0.  Centrality is asserted."""
-    C = e.right
-    acc = _leg_product(e, s)
-    for l in range(C.dim):
-        cl = C.basis_element(l)
-        if acc * cl != cl * acc:
-            raise CentralityViolation(C.labels[l])
-    return acc
+    return _assert_central(_leg_product(e, s))
+
+
+def _assert_central(z: AlgebraElement) -> AlgebraElement:
+    C = z.algebra
+    if z != C.one():  # 1 is central
+        for l in range(C.dim):
+            cl = C.basis_element(l)
+            if z * cl != cl * z:
+                raise CentralityViolation(C.labels[l])
+    return z
 
 
 def splitting_check(e: TensorElement, s: LinearMap) -> CheckOutcome:
@@ -444,7 +472,7 @@ def splitting_check(e: TensorElement, s: LinearMap) -> CheckOutcome:
     B, C = e.left, e.right
     f = e.field
     zero = f.zero
-    failures = [("retraction", label) for label in _retraction_failures(e, s)]
+    failures = [("retraction", label) for label in _unit_failures(_leg_product(e, s), "left")]
     e_items = [(i, j, v) for i, j, v in e.nonzero_items() if not f.is_zero(v)]
     gamma = [_gamma_sparse(e_items, C, m, f) for m in range(C.dim)]
     s_imgs = [s.on_basis(k) for k in range(B.dim)]
@@ -618,9 +646,10 @@ def certify(e: TensorElement) -> SeparabilityCertificate:
 
     Errors from the sub-derivations are aggregated into the certificate
     (mode "rejected" with a reason), never raised.  Every derived step is
-    read from the element's memo (_derived); splitting and determinacy are
-    read off the counit outcome and the idempotency verdict (see the
-    module docstring).
+    read from the element's memo (_derived); the leg product is computed
+    once for the central element and the counit identities; splitting and
+    determinacy are read off the counit outcome and the idempotency
+    verdict (see the module docstring).
     """
     verdict = _derived(e, "verdict", verify_idempotent)
     full = _derived(e, "full", is_full)
@@ -636,12 +665,12 @@ def certify(e: TensorElement) -> SeparabilityCertificate:
             return SeparabilityCertificate(mode="rejected", reason=str(exc), **base)
         base[absorbs] = True
     s, sp = base["antipode"], base["reverse_antipode"]
+    z = _leg_product(e, s)
     try:
-        central = central_element(e, s)
+        base["central_element"] = _assert_central(z)
     except CentralityViolation as exc:
         return SeparabilityCertificate(mode="rejected", reason=str(exc), **base)
-    base["central_element"] = central
-    counit = counit_identities(e, s, sp)
+    counit = _counit(e, z, sp)
     retraction = [("retraction", label) for half, label in counit.witness or () if half == "C"]
     checks = dict(
         counit=counit,

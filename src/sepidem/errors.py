@@ -30,12 +30,6 @@ class NotUnital(AlgebraConstructionError):
     pass
 
 
-class DegenerateProduct(AlgebraConstructionError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"product is degenerate; witness element {witness}")
-
-
 class NoBlockPresentation(SepidemError):
     """The operation needs a multi-matrix (block) presentation."""
 

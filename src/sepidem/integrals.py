@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import AlgebraElement, LinearFunctional, LinearMap
-from .engine import _derived, _inverse_map, _map, integral_covector, verify_idempotent
+from .engine import _derived, _form, _inverse_map, _map, integral_covector, verify_idempotent
 from .errors import (
     KMSViolation,
     NotATrace,
@@ -58,11 +58,12 @@ def _integral(e: TensorElement, side: str) -> LinearFunctional:
 
 
 def _faithful_integral(e: TensorElement, side: str) -> LinearFunctional:
+    # LinearFunctional.faithfulness_witness, on the form matrix in the memo
     cov = _derived(e, "covector", integral_covector, side)
     fun = LinearFunctional(e.right if side == "left" else e.left, cov)
-    w = fun.faithfulness_witness()
-    if w is not None:
-        raise NotFaithful(w)
+    kern = linalg.nullspace(_form(e, side), e.field)
+    if kern:
+        raise NotFaithful(AlgebraElement(fun.algebra, kern[0]))
     return fun
 
 
@@ -106,10 +107,13 @@ def modular_automorphisms(s: LinearMap, sp: LinearMap, phi=None, psi=None, eleme
     return sigma, sigma_prime
 
 
-def _check_kms(fun: LinearFunctional, auto: LinearMap):
+def _check_kms(fun: LinearFunctional, auto: LinearMap, form=None):
+    """The weak KMS law of fun under auto; form is fun's form matrix, when
+    it is already at hand."""
     a = fun.algebra
     f = a.field
-    form = fun.form_matrix()
+    if form is None:
+        form = fun.form_matrix()
     rows = [list(r) for r in auto.rows]
     rhs = linalg.mat_mul(form, rows, f)
     scale = max(1, linalg.matrix_scale(form, f)) * max(1, linalg.matrix_scale(rows, f))
@@ -156,12 +160,15 @@ class DerivedData:
 def derive_all(e: TensorElement, mode=None) -> DerivedData:
     """S, S', phi, psi, sigma and sigma' of one element, with every check of
     derive_antipode, derive_reverse_antipode, derive_left_integral,
-    derive_right_integral and modular_automorphisms (with the element);
-    S, S', phi, psi, S^-1 and S'^-1 come from the element's memo."""
+    derive_right_integral and modular_automorphisms (with the element and
+    the integrals); S, S', phi, psi, S^-1, S'^-1 and the integrals' form
+    matrices come from the element's memo."""
     _require_integrable(e, mode)
     phi, psi = _integral(e, "left"), _integral(e, "right")
     s, sp = _map(e, "right"), _map(e, "left")
-    sigma, sigma_prime = modular_automorphisms(s, sp, phi, psi, element=e)
+    sigma, sigma_prime = modular_automorphisms(s, sp, element=e)
+    _check_kms(phi, sigma, _form(e, "left"))
+    _check_kms(psi, sigma_prime, _form(e, "right"))
     return DerivedData(e, s, sp, phi, psi, sigma, sigma_prime)
 
 

@@ -9,6 +9,7 @@ straightforward Gaussian elimination with zero-skipping.
 
 from __future__ import annotations
 
+from itertools import product
 from math import lcm
 
 from .errors import SepidemError
@@ -134,6 +135,71 @@ def _int_row_product(acc, a_part, b_parts, which):
     for j, x in a_part:
         for l, y in b_parts[j][which]:
             acc[l] += x * y
+
+
+# -- multilinear products on integer numerators ---------------------------------
+#
+# A multilinear loop (a kernel) runs once per combination of the parts of
+# its operands.  An operand is (den, parts): exact values are integer
+# numerators over one common denominator den, split by power of i into a
+# real part (power 0) and, when some value is Gaussian, an imaginary part
+# (power 1).  Each combination adds into the accumulator of its total power
+# of i mod 4, and each nonzero entry of the result becomes one rational
+# numerator / (product of the dens).  A float operand is its own single
+# part of power 0 over 1, so float values pass through the same loop in the
+# same order of operations.
+
+
+def split(items, field):
+    """Rows of sparse (j, value) items as an operand (den, parts), each
+    part a list of rows of (j, numerator) items; floats stay as they are."""
+    if not field.is_exact:
+        return 1, ((0, items),)
+    den = _common_denominator(x for row in items for _, x in row)
+    parts = [_integer_parts(row, den) for row in items]
+    re, im = [r for r, _ in parts], [i for _, i in parts]
+    return den, ((0, re), (1, im)) if any(im) else ((0, re),)
+
+
+def multilinear(kernel, rows, cols, field, *operands):
+    """(den, sums): kernel(acc, *parts) summed over every combination of
+    the operands' parts, each into the accumulator (`rows` lists of `cols`
+    entries) of its power of i.
+
+    Exact sums are numerators over den, each an int, or a pair (re, im)
+    when its imaginary part is nonzero, so equal values have equal
+    numerators over the same den; float sums are the values themselves.
+    """
+    zero = 0 if field.is_exact else field.zero
+    den = 1
+    for d, _ in operands:
+        den *= d
+    real = [parts[0][1] for _, parts in operands if len(parts) == 1]
+    if len(real) == len(operands):  # a single combination, of power 0
+        acc = [[zero] * cols for _ in range(rows)]
+        kernel(acc, *real)
+        return den, acc
+    acc = {}
+    for combo in product(*(parts for _, parts in operands)):
+        power = sum(p for p, _ in combo) % 4
+        if power not in acc:
+            acc[power] = [[zero] * cols for _ in range(rows)]
+        kernel(acc[power], *(data for _, data in combo))
+    zeros = [[0] * cols] * rows
+    a0, a1, a2, a3 = (acc.get(p, zeros) for p in range(4))
+    return den, [[(x0 - x2, x1 - x3) if x1 != x3 else x0 - x2
+                  for x0, x1, x2, x3 in zip(*rs)] for rs in zip(a0, a1, a2, a3)]
+
+
+def multilinear_values(kernel, rows, cols, field, *operands):
+    """The sums of multilinear as field values."""
+    den, sums = multilinear(kernel, rows, cols, field, *operands)
+    if not field.is_exact:
+        return sums
+    zero = field.zero
+    return [[gauss(Rational(x[0], den), Rational(x[1], den)) if type(x) is tuple
+             else Rational(x, den) if x else zero
+             for x in row] for row in sums]
 
 
 def mat_vec(a, v, field):

@@ -192,46 +192,8 @@ def unit_tensor(left: Algebra, right: Algebra) -> TensorElement:
 def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
     """Product in B (x) C via the structure constants of both factors."""
     x._check(y)
-    B, C = x.left, x.right
-    f = x.field
-    zero = f.zero
-    out = [[zero] * C.dim for _ in range(B.dim)]
-    for i2 in range(B.dim):
-        frow = y.rows[i2]
-        if not any(frow):
-            continue
-        # w[j] = sparse coefficients of c_j * frow
-        w = []
-        for j in range(C.dim):
-            acc = {}
-            mj = C.mult[j]
-            for j2, v in enumerate(frow):
-                if not v:
-                    continue
-                for l, c in mj[j2]:
-                    acc[l] = acc.get(l, zero) + v * c
-            w.append([(l, v) for l, v in acc.items() if v])
-        # t = x * (1 (x) frow)
-        t = [[zero] * C.dim for _ in range(B.dim)]
-        for i in range(B.dim):
-            xrow = x.rows[i]
-            trow = t[i]
-            for j, e in enumerate(xrow):
-                if not e:
-                    continue
-                for l, v in w[j]:
-                    trow[l] = trow[l] + e * v
-        # out += (t with b_i2 acting on the left index from the right)
-        for i in range(B.dim):
-            trow = t[i]
-            if not any(trow):
-                continue
-            for k, c in B.mult[i][i2]:
-                orow = out[k]
-                for l, v in enumerate(trow):
-                    if v:
-                        orow[l] = orow[l] + c * v
-    return TensorElement._raw(B, C, out)
+    return TensorElement._raw(x.left, x.right,
+                              x.left.tensor_product_rows(x.right, x.rows, y.rows))
 
 
 def mult_sided(e: TensorElement, position: str, x: AlgebraElement) -> TensorElement:

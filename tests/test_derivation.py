@@ -124,6 +124,39 @@ def test_cli_dual_stars_each_dual_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 2 * 9
 
 
+def test_certify_and_derive_build_each_form_matrix_once(monkeypatch):
+    """F_phi and F_psi serve the map derivation, the faithfulness checks and
+    the KMS laws: one form matrix per integral and element."""
+    counts = collections.Counter()
+    original = sd.LinearFunctional.form_matrix
+
+    def counted(self):
+        counts[self.algebra.dim] += 1
+        return original(self)
+
+    monkeypatch.setattr(sd.LinearFunctional, "form_matrix", counted)
+    b = sd.matrix_algebra(2, with_star=True)
+    r, s = sd.random_twisted_pair(3, random.Random(32))
+    for e in (sd.twisted_idempotent(r, s), sd.standard_idempotent_over(b)):
+        counts.clear()
+        cert = sd.certify(e)
+        sd.derive_all(e, cert.mode)
+        assert cert.ok and counts == {e.left.dim: 2}
+
+
+def test_certify_computes_the_leg_product_once(monkeypatch):
+    from sepidem import engine
+
+    calls = []
+    original = engine._leg_product
+    monkeypatch.setattr(engine, "_leg_product", lambda e, s: calls.append(e) or original(e, s))
+    r, s = sd.random_twisted_pair(2, random.Random(33))
+    for e in (sd.twisted_idempotent(r, s), sd.twisted_idempotent(r, rational(3) * s)):
+        calls.clear()
+        sd.certify(e)
+        assert calls == [e]
+
+
 def test_rejected_element_leaves_no_garbage_cycle(m2):
     rng = random.Random(3)
     rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
