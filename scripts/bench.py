@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Record the benchmark of one or more checkouts in BENCH_<label>.json files.
+
+    python3 scripts/bench.py LABEL[=CHECKOUT] ... [--out-dir DIR]
+
+Runs ``perfbench/run.py`` of each checkout (default: this repository) for
+the run length BENCHMARK.json sets, on fixed seeds: one untraced run
+(``--trace 0``) per workload and seed in SEEDS, and one traced run
+(``--trace 1``) per workload on TRACE_SEED.  With two or more labels the
+untraced runs alternate between the checkouts, in reversed order on every
+other seed, so that a drift of the machine's speed falls on both sides
+alike.  Standard library only.
+
+Each BENCH_<label>.json holds, per workload, every run's end-to-end
+metrics, failure counts, known-defect outcomes and wall time, the median
+of each metric over the runs, and the traced run's per-layer counts and
+self times; plus the environment block perfbench prints (Python, exact
+scalar type, nproc, git revision).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("twist-exact", "dense-basis", "float64", "cli-documents")
+SEEDS = (71, 72, 73, 74, 75)
+TRACE_SEED = 901
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def perfbench(checkout, workload, seed, trace):
+    """One run of perfbench/run.py in checkout: its result, environment,
+    known-defect lines and wall time."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
+    t0 = time.perf_counter()
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"bench: {' '.join(argv[1:])} in {checkout} exited "
+                         f"{done.returncode}: {done.stderr.strip()[-500:]}")
+    result = json.loads(lines[-1])
+    env = json.loads(lines[-2])["environment"]
+    defects = [json.loads(line.split(" ", 1)[1]) for line in lines
+               if line.startswith("KNOWN-DEFECT ")]
+    return result, env, defects, wall
+
+
+def untraced_record(seed, result, defects, wall):
+    return {
+        "seed": seed,
+        "wall_s": round(wall, 2),
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "correct": result["correct"],
+        "known_defects": [d["status"] for d in defects],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def traced_record(seed, result, wall):
+    metrics = result["metrics"]
+    return {
+        "seed": seed,
+        "wall_s": round(wall, 2),
+        "failed": result["failed"],
+        "calls": {name[:-len(".calls")]: m["value"] for name, m in metrics.items()
+                  if name.endswith(".calls")},
+        "self_s": {name[:-len(".self_s")]: m["value"] for name, m in metrics.items()
+                   if name.endswith(".self_s")},
+        "other": {name: m["value"] for name, m in metrics.items()
+                  if not name.endswith((".calls", ".self_s"))},
+    }
+
+
+def medians(runs):
+    names = runs[0]["metrics"]
+    return {name: statistics.median(r["metrics"][name] for r in runs) for name in names}
+
+
+def parse_target(text):
+    label, _, checkout = text.partition("=")
+    path = Path(checkout).resolve() if checkout else ROOT
+    if not (path / "perfbench" / "run.py").is_file():
+        raise SystemExit(f"bench: no perfbench/run.py in the checkout of {label!r}")
+    return label, path
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("targets", nargs="+", metavar="LABEL[=CHECKOUT]")
+    ap.add_argument("--out-dir", default=str(ROOT))
+    args = ap.parse_args(argv)
+
+    targets = [parse_target(t) for t in args.targets]
+    docs = {label: {"label": label, "seconds": SECONDS, "seeds": list(SEEDS),
+                    "trace_seed": TRACE_SEED, "environment": None, "workloads": {}}
+            for label, _ in targets}
+    for workload in WORKLOADS:
+        runs = {label: [] for label, _ in targets}
+        for i, seed in enumerate(SEEDS):
+            for label, path in (targets if i % 2 == 0 else targets[::-1]):
+                result, env, defects, wall = perfbench(path, workload, seed, 0)
+                runs[label].append(untraced_record(seed, result, defects, wall))
+                if docs[label]["environment"] is None:
+                    docs[label]["environment"] = {k: env[k] for k in (
+                        "python", "implementation", "gmpy2", "exact_type", "nproc", "git_rev")}
+                print(f"{label} {workload} seed {seed}: {wall:.1f} s, "
+                      f"failed {result['failed']}", file=sys.stderr)
+        for label, path in targets:
+            result, _, _, wall = perfbench(path, workload, TRACE_SEED, 1)
+            docs[label]["workloads"][workload] = {
+                "runs": runs[label],
+                "median": medians(runs[label]),
+                "traced": traced_record(TRACE_SEED, result, wall),
+            }
+    for label, doc in docs.items():
+        out = Path(args.out_dir) / f"BENCH_{label}.json"
+        out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,6 +20,7 @@ from . import constructions, star
 from .algebra import element_as_matrix
 from .documents import (
     certificate_from_result,
+    check_dim,
     matrix_literal,
     parse_instance,
     vector_literal,
@@ -200,6 +201,8 @@ def cmd_construct(args) -> int:
     if args.seed is not None:
         spec["seed"] = args.seed
     kind = args.kind
+    if args.n is not None:  # before any algebra or random pair is built
+        check_dim(args.n * args.n, "--n")
     if kind in ("E0", "nonfull"):
         if args.n is None:
             raise DocumentError("--n is required", f"--kind={kind}")

@@ -33,6 +33,16 @@ from .tensor import TensorElement
 INSTANCE_KINDS = ("E0", "twisted", "involutive_twisted", "direct_sum", "nonfull", "explicit")
 CERTIFICATE_FORMAT = "sepidem/certificate-v1"
 
+# The largest algebra dimension a document may describe.  Building M_n and
+# certifying E0(n) take time of order n^6 = dim^3; a larger document is
+# refused before any table is built.  verify took 31 s at E0(14), dim 196,
+# on a 2-CPU x86-64 host.
+MAX_DIM = 196
+# The same for an algebra given by structure constants, which are dense in
+# the worst case: verify then grows about as dim^5, and took 36 s for M_6
+# and 46 s for C^36, both dim 36 in a random rational basis, on that host.
+MAX_DENSE_DIM = 36
+
 
 def parse_scalar(x, fld, loc):
     """One scalar literal: "p/q" string, int, or ["re", "im"] pair; float
@@ -122,6 +132,7 @@ def parse_instance(doc, override_mode=None, override_tol=None) -> InstanceDescri
     espec = doc.get("E")
     if espec is None:
         raise DocumentError("missing field", "$.E")
+    check_dim(_spec_dim(espec, doc.get("algebras")), "$.E")
     elem = _build_element(espec, fld, "$.E", doc.get("algebras"))
     spec = dict(doc)
     spec["scalar_mode"] = fld.name
@@ -132,6 +143,36 @@ def parse_instance(doc, override_mode=None, override_tol=None) -> InstanceDescri
         element=elem,
         spec=spec,
     )
+
+
+def check_dim(dim, loc, limit=MAX_DIM):
+    """DocumentError when an algebra of dimension dim exceeds limit."""
+    if dim > limit:
+        raise DocumentError(f"algebra dimension {dim} exceeds the limit {limit}", loc)
+
+
+def _spec_dim(espec, algebras_spec):
+    """The algebra dimension an element spec asks for, read off the spec
+    without building anything.  Malformed parts count 0; the builder
+    reports them."""
+    spec = espec if isinstance(espec, dict) else {}
+    kind, r = spec.get("kind"), spec.get("r")
+    if kind in ("E0", "nonfull"):
+        return _square(spec.get("n"))
+    if kind in ("twisted", "involutive_twisted"):
+        return _square(len(r) if isinstance(r, list) else 0)
+    if kind == "direct_sum":
+        return sum(_spec_dim(c, None) for c in _list(spec.get("components")))
+    alg = algebras_spec if kind == "explicit" and isinstance(algebras_spec, dict) else {}
+    return sum(_square(b) for b in _list(alg.get("blocks")))  # constants: _build_algebra
+
+
+def _square(n):
+    return n * n if isinstance(n, int) and not isinstance(n, bool) and n > 0 else 0
+
+
+def _list(x):
+    return x if isinstance(x, list) else []
 
 
 def _require_int(x, loc, low=1):
@@ -216,6 +257,7 @@ def _build_algebra(spec, fld, loc):
         if not isinstance(constants, list) or not constants:
             raise DocumentError("missing constants tensor", loc + ".structure_constants.constants")
         dim = len(constants)
+        check_dim(dim, loc + ".structure_constants.constants", MAX_DENSE_DIM)
         parsed = [
             parse_matrix(c, fld, f"{loc}.structure_constants.constants[{i}]",
                          rows=dim, cols=dim)

@@ -21,6 +21,7 @@ star its representative law and involutivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import AlgebraElement
@@ -56,14 +57,19 @@ class Duality:
         self.element = e
         self.B, self.C = e.left, e.right
         self.field = e.field
-        # forms psi(b_i b_k) and phi(c_k c_j); Fourier is contraction with these
-        self._form_b = data.right_integral.form_matrix()
-        self._form_c = data.left_integral.form_matrix()
-        self._form_b_inv = None
-        self._form_c_inv = None
-        self._s_inv = _inverse_map(e, "right")
-        self._sp_inv = _inverse_map(e, "left")
+        self._sides = {
+            "B": _Side(self.B, data.right_integral.form_matrix(),
+                       data.reverse_antipode, _inverse_map(e, "left"), "C"),
+            "C": _Side(self.C, linalg.transpose(data.left_integral.form_matrix()),
+                       data.antipode, _inverse_map(e, "right"), "B"),
+        }
+        self._inverse_fourier = {}
         self._star_rows_memo = {}
+
+    def _side(self, side) -> "_Side":
+        if side not in self._sides:
+            raise SepidemError(f"unknown side {side!r}")
+        return self._sides[side]
 
     @classmethod
     def from_element(cls, e: TensorElement, mode=None) -> "Duality":
@@ -77,13 +83,7 @@ class Duality:
         side is only needed when the two algebras coincide."""
         if side is None:
             side = self._infer_side(x)
-        f = self.field
-        if side == "B":
-            cov = linalg.vec_mat(list(x.coeffs), self._form_b, f)
-        elif side == "C":
-            cov = linalg.mat_vec(self._form_c, list(x.coeffs), f)
-        else:
-            raise SepidemError(f"unknown side {side!r}")
+        cov = linalg.vec_mat(list(x.coeffs), self._side(side).fourier, self.field)
         return DualElement(side, x, tuple(cov))
 
     def _infer_side(self, x):
@@ -101,17 +101,11 @@ class Duality:
         """Rebuild the representative from a covector (the forms are
         invertible because the integrals are faithful)."""
         f = self.field
+        sd = self._side(side)
         cov = [f.coerce(c) for c in covector]
-        if side == "B":
-            if self._form_b_inv is None:
-                self._form_b_inv = linalg.inverse(linalg.transpose(self._form_b), f)
-            rep = AlgebraElement(self.B, linalg.mat_vec(self._form_b_inv, cov, f))
-        elif side == "C":
-            if self._form_c_inv is None:
-                self._form_c_inv = linalg.inverse(self._form_c, f)
-            rep = AlgebraElement(self.C, linalg.mat_vec(self._form_c_inv, cov, f))
-        else:
-            raise SepidemError(f"unknown side {side!r}")
+        if side not in self._inverse_fourier:
+            self._inverse_fourier[side] = linalg.inverse(linalg.transpose(sd.fourier), f)
+        rep = AlgebraElement(sd.algebra, linalg.mat_vec(self._inverse_fourier[side], cov, f))
         return DualElement(side, rep, tuple(cov))
 
     # -- pairing ------------------------------------------------------------
@@ -130,8 +124,8 @@ class Duality:
         as in pairing, with S'^-1(b) and S^-1(c) computed once per element."""
         _require_side(bhats, "B", _PAIRING_SIDES)
         _require_side(chats, "C", _PAIRING_SIDES)
-        sp_inv_b = [self._sp_inv(bh.representative) for bh in bhats]
-        s_inv_c = [self._s_inv(ch.representative) for ch in chats]
+        sp_inv_b = [self._sides["B"].into_inv(bh.representative) for bh in bhats]
+        s_inv_c = [self._sides["C"].into_inv(ch.representative) for ch in chats]
         return [[self._pairing_entry(bh, ch, x, y) for ch, y in zip(chats, s_inv_c)]
                 for bh, x in zip(bhats, sp_inv_b)]
 
@@ -153,24 +147,13 @@ class Duality:
         The representing-element laws are asserted:
         S^(c^) = (S^-1(c))^ and S'^(b^) = (S'^-1(b))^.
         """
-        f = self.field
-        if w.side == "C":
-            cov = linalg.vec_mat(list(w.covector), [list(r) for r in self.data.antipode.rows], f)
-            rep = self._s_inv(w.representative)
-            out = DualElement("B", rep, tuple(cov))
-            if self.fourier(rep, "B") != out:
-                raise SepidemError("dual antipode representative law fails")
-            return out
-        if w.side == "B":
-            cov = linalg.vec_mat(
-                list(w.covector), [list(r) for r in self.data.reverse_antipode.rows], f
-            )
-            rep = self._sp_inv(w.representative)
-            out = DualElement("C", rep, tuple(cov))
-            if self.fourier(rep, "C") != out:
-                raise SepidemError("dual antipode representative law fails")
-            return out
-        raise SepidemError(f"unknown side {w.side!r}")
+        sd = self._side(w.side)
+        cov = linalg.vec_mat(list(w.covector), [list(r) for r in sd.into.rows], self.field)
+        rep = sd.into_inv(w.representative)
+        out = DualElement(sd.other, rep, tuple(cov))
+        if self.fourier(rep, sd.other) != out:
+            raise SepidemError("dual antipode representative law fails")
+        return out
 
     # -- dual star --------------------------------------------------------------
 
@@ -183,15 +166,10 @@ class Duality:
         """
         if self.B.star_matrix is None or self.C.star_matrix is None:
             raise NoStarStructure("dual star needs star structures on both algebras")
-        if w.side == "B":
-            side, rep_map = "C", self.data.antipode
-        elif w.side == "C":
-            side, rep_map = "B", self.data.reverse_antipode
-        else:
-            raise SepidemError(f"unknown side {w.side!r}")
+        side = self._side(w.side).other
         f = self.field
         cov = [f.conj(_apply_covector(w.covector, t, f)) for t in self._star_rows(w.side)]
-        rep = rep_map(w.representative.star())
+        rep = self._sides[side].into(w.representative.star())
         out = DualElement(side, rep, tuple(cov))
         if self.fourier(rep, side) != out:
             raise SepidemError("dual star representative law fails")
@@ -204,7 +182,7 @@ class Duality:
         the rows a dual star contracts against; computed once per side."""
         rows = self._star_rows_memo.get(side)
         if rows is None:
-            t = self.data.reverse_antipode if side == "B" else self.data.antipode
+            t = self._sides[side].into
             rows = [t.on_basis(k).star().coeffs for k in range(t.source.dim)]
             self._star_rows_memo[side] = rows
         return rows
@@ -234,6 +212,19 @@ class Duality:
         if not f.eq(acc, self.data.left_integral(c2_star * chat1.representative)):
             raise SepidemError("Plancherel identity fails; derived data inconsistent")
         return acc
+
+
+class _Side(NamedTuple):
+    """One side of the duality: its algebra, its Fourier matrix (entry k, j
+    is psi(b_k b_j) on B, phi(c_j c_k) on C; a covector is the coefficients
+    times it), the anti-isomorphism into it (S' into B, S into C) with its
+    inverse, and the other side."""
+
+    algebra: object
+    fourier: list
+    into: object
+    into_inv: object
+    other: str
 
 
 _PAIRING_SIDES = "pairing takes a B-side and a C-side dual element"

@@ -42,6 +42,30 @@ certify reads two fields off work it has already done:
 
 splitting_check and determinacy_check stay public and exhaustive.
 
+In exact mode the verified maps imply four more facts, which are not
+checked again there.  Float mode, whose maps come from separate
+absorption solves, checks each of them.  A map's matrix has the image of
+the k-th basis element as its k-th column.  _verify_map proves S and S'
+unital and anti-multiplicative, S^-1 S = id (so S S^-1 = id: the matrices
+are square) and S'^-1 S' = id; fullness makes M invertible.
+
+* Faithful integrals (integrals._integral): (M F_phi)(M^T F_psi) =
+  S^-1 S = id, so F_phi and F_psi are invertible, which is what
+  faithfulness of phi and psi means.
+* Weak KMS (integrals._check_kms asserts F^T = F sigma): for
+  sigma = S S', F_phi sigma = M^-1 S^-1 S S' = M^-1 S' = F_phi^T; for
+  sigma' = S^-1 S'^-1, F_psi sigma' = M^-T S S^-1 S'^-1 = M^-T S'^-1
+  = F_psi^T.
+* sigma and sigma' multiplicative: each composes two unital
+  anti-multiplicative bijections (S^-1 and S'^-1 are inverses of such).
+* Swap (certify's swap field, tensor.swap_and_map): the flip of
+  (S (x) S') E has the matrix S' M^T S^T = M F_phi^T M^T S^T
+  = M (S^-1)^T S^T = M (S S^-1)^T = M, so it is E.
+
+integrals.derive_all and certify therefore skip these checks in exact
+mode; modular_automorphisms, _check_kms, swap_and_map and
+LinearFunctional.faithfulness_witness stay public and check.
+
 certify computes the leg product z = m_C (S (x) id) E once and decides
 each half of the counit identities with one comparison.  By bilinearity
 the C half states z c = c for every c, and the B half b z' = b for every b,
@@ -279,11 +303,17 @@ def _integral_form(e: TensorElement, side: str):
 
 def _verify_map(e: TensorElement, side: str, t: LinearMap, t_inv: LinearMap):
     """Proves that t is S (side "right") or S' (side "left") of e and t_inv
-    its inverse, whatever computed them: T(1) = 1 and T anti-multiplicative
-    (on generators), absorption on the generating set G of the source,
-    which with the first check gives absorption everywhere (proof in
-    derive_antipode), and T^-1 . T = id, which proves T bijective and
-    T^-1 its inverse.
+    its inverse, whatever computed them:
+
+    * T(1) = 1 and T L_g = R_{T(g)} T for g in the generating set G of the
+      source (LinearMap.assert_anti_multiplicative);
+    * absorption on G, which gives absorption on the whole source.  For S:
+      if E (x (x) 1) = E (1 (x) S(x)) and likewise for y, then
+      E (xy (x) 1) = E (1 (x) S(x))(y (x) 1) = E (y (x) 1)(1 (x) S(x))
+                   = E (1 (x) S(y) S(x)) = E (1 (x) S(xy)),
+      so absorption holds on a subalgebra, which contains 1 (S(1) = 1)
+      and G, hence is B; S' likewise;
+    * T^-1 . T = id, which proves T bijective and T^-1 its inverse.
 
     A failure of the first two names the first basis element at which
     absorption fails (NoSolution).  One exists: on G by linearity, and
@@ -318,36 +348,18 @@ def derive_antipode(e: TensorElement) -> LinearMap:
     (NonUniqueSolution otherwise).
 
     Exact mode reads S = M^T F_psi off the right integral, psi solving
-    M^T psi = 1_C, and verifies it without trusting the formula:
-
-    * S(1) = 1 and S L_g = R_{S(g)} S for g in the generating set G of B:
-      the two shift sums of each matrix block of size >= 2, the unit of
-      each 1 x 1 block, or the whole basis without a block presentation
-      (LinearMap.assert_anti_multiplicative);
-    * absorption on G, which gives absorption on all of B.  If
-      E (x (x) 1) = E (1 (x) S(x)) and likewise for y, then
-      E (xy (x) 1) = E (1 (x) S(x))(y (x) 1) = E (y (x) 1)(1 (x) S(x))
-                   = E (1 (x) S(y) S(x)) = E (1 (x) S(xy)),
-      so absorption holds on a subalgebra, which contains 1 (S(1) = 1)
-      and G, hence is B;
-    * S^-1 . S = id with S^-1 = M F_phi, phi solving M phi = 1_B.
-
-    A failed absorption raises NoSolution naming a basis element, a failed
+    M^T psi = 1_C, and _verify_map proves it, with S^-1 = M F_phi.  A
+    failed absorption raises NoSolution naming a basis element, a failed
     bijectivity MapVerificationError.  Float mode solves the absorption
-    condition and checks anti-multiplicativity (on G) and rank.
+    condition, checks anti-multiplicativity and takes bijectivity from
+    fullness (see _derive_map).
     """
     return _map(e, "right")
 
 
 def derive_reverse_antipode(e: TensorElement) -> LinearMap:
     """S': C -> B with (1 (x) c) E = (S'(c) (x) 1) E; the mirror of
-    derive_antipode.
-
-    Exact mode reads S' = M F_phi^T off the left integral, phi solving
-    M phi = 1_B, and verifies it as derive_antipode does, on the
-    generating set of C: S'(1) = 1 and S' L_g = R_{S'(g)} S', absorption
-    (1 (x) g) E = (S'(g) (x) 1) E, and S'^-1 . S' = id with
-    S'^-1 = M^T F_psi^T.
+    derive_antipode, with S' = M F_phi^T and S'^-1 = M^T F_psi^T.
     """
     return _map(e, "left")
 
@@ -649,7 +661,8 @@ def certify(e: TensorElement) -> SeparabilityCertificate:
     read from the element's memo (_derived); the leg product is computed
     once for the central element and the counit identities; splitting and
     determinacy are read off the counit outcome and the idempotency
-    verdict (see the module docstring).
+    verdict, and in exact mode swap holds because the maps derived (see
+    the module docstring).
     """
     verdict = _derived(e, "verdict", verify_idempotent)
     full = _derived(e, "full", is_full)
@@ -674,7 +687,7 @@ def certify(e: TensorElement) -> SeparabilityCertificate:
     retraction = [("retraction", label) for half, label in counit.witness or () if half == "C"]
     checks = dict(
         counit=counit,
-        swap=CheckOutcome(swap_and_map(e, s, sp) == e),
+        swap=CheckOutcome(e.field.is_exact or swap_and_map(e, s, sp) == e),
         splitting=CheckOutcome(not retraction, retraction or None),
         determinacy=CheckOutcome(verdict.kind == "idempotent"),
     )

@@ -5,11 +5,12 @@ The left integral is the unique functional phi on C with
 (psi (x) id) E = 1 in C.  Both are derived by a linear solve on the
 covector (M phi = 1_B and M^T psi = 1_C for the coefficient matrix M)
 rather than through any closed form, so the closed forms of the matrix
-families stay available as independent oracles.  Existence, uniqueness
-and faithfulness are asserted during the solve.  In exact mode the
-anti-isomorphisms and their inverses are read off the same covectors
-(see the engine module); the integrals are kept in the element's memo
-too (engine._derived), so each is derived once.
+families stay available as independent oracles.  Existence and
+uniqueness are asserted during the solve.  In exact mode the
+anti-isomorphisms and their inverses are read off the same covectors,
+and their verification proves faithfulness and the modular laws (see the
+engine module); float mode checks both.  The integrals are kept in the
+element's memo too (engine._derived), so each is derived once.
 
 Integral derivation refuses elements that do not certify as separability
 idempotents; in particular nilpotent-mode elements (E^2 = 0) are rejected
@@ -25,6 +26,9 @@ from .algebra import AlgebraElement, LinearFunctional, LinearMap
 from .engine import _derived, _form, _inverse_map, _map, integral_covector, verify_idempotent
 from .errors import (
     KMSViolation,
+    MapVerificationError,
+    NonUniqueSolution,
+    NoSolution,
     NotATrace,
     NotFaithful,
     NotInvertible,
@@ -32,7 +36,7 @@ from .errors import (
     RelativeCommutationFails,
     SepidemError,
 )
-from .tensor import TensorElement, is_full, slice_left
+from .tensor import TensorElement, is_full, slice_left, slice_right
 
 
 def _require_integrable(e: TensorElement, mode):
@@ -45,6 +49,12 @@ def _require_integrable(e: TensorElement, mode):
             )
         if not _derived(e, "full", is_full):
             raise RefusedForMode("integrals need a full element (certificate mode: rejected)")
+        try:
+            _map(e, "right"), _map(e, "left")
+        except (NoSolution, NonUniqueSolution, MapVerificationError) as exc:
+            raise RefusedForMode(
+                f"integrals need both anti-isomorphisms: {exc} (certificate mode: rejected)"
+            ) from None
     elif mode != "separability_idempotent":
         raise RefusedForMode(
             f"integrals are only defined in separability mode, not {mode!r} "
@@ -58,11 +68,11 @@ def _integral(e: TensorElement, side: str) -> LinearFunctional:
 
 
 def _faithful_integral(e: TensorElement, side: str) -> LinearFunctional:
-    # LinearFunctional.faithfulness_witness, on the form matrix in the memo
     cov = _derived(e, "covector", integral_covector, side)
     fun = LinearFunctional(e.right if side == "left" else e.left, cov)
-    kern = linalg.nullspace(_form(e, side), e.field)
-    if kern:
+    if e.field.is_exact:
+        _map(e, "right")  # S^-1 S = id makes both forms invertible (engine docstring)
+    elif kern := linalg.nullspace(_form(e, side), e.field):  # faithfulness_witness
         raise NotFaithful(AlgebraElement(fun.algebra, kern[0]))
     return fun
 
@@ -158,18 +168,34 @@ class DerivedData:
 
 
 def derive_all(e: TensorElement, mode=None) -> DerivedData:
-    """S, S', phi, psi, sigma and sigma' of one element, with every check of
-    derive_antipode, derive_reverse_antipode, derive_left_integral,
-    derive_right_integral and modular_automorphisms (with the element and
-    the integrals); S, S', phi, psi, S^-1, S'^-1 and the integrals' form
-    matrices come from the element's memo."""
+    """S, S', phi, psi, sigma and sigma' of one element, from the element's
+    memo.  Float mode runs every check of modular_automorphisms (with the
+    element and the integrals).  Exact mode composes sigma = S . S' and
+    sigma' = S^-1 . S'^-1 and checks nothing more: the verified maps imply
+    what those checks prove (engine module docstring)."""
     _require_integrable(e, mode)
     phi, psi = _integral(e, "left"), _integral(e, "right")
     s, sp = _map(e, "right"), _map(e, "left")
-    sigma, sigma_prime = modular_automorphisms(s, sp, element=e)
-    _check_kms(phi, sigma, _form(e, "left"))
-    _check_kms(psi, sigma_prime, _form(e, "right"))
+    if e.field.is_exact:
+        sigma = s.compose(sp)
+        sigma_prime = _inverse_map(e, "right").compose(_inverse_map(e, "left"))
+    else:
+        sigma, sigma_prime = modular_automorphisms(s, sp, element=e)
+        _check_kms(phi, sigma, _form(e, "left"))
+        _check_kms(psi, sigma_prime, _form(e, "right"))
     return DerivedData(e, s, sp, phi, psi, sigma, sigma_prime)
+
+
+def _trace_side(data: DerivedData, side: str):
+    """For a trace on side B or C: the automorphism its implementing
+    element q commutes relatively with, and the map and integral that give
+    the trace back from q.  Side "C" is side "B" with the two tensor legs
+    flipped, which exchanges S with S' and phi with psi."""
+    if side == "B":
+        return data.modular, data.reverse_antipode, data.right_integral
+    if side == "C":
+        return data.reverse_modular, data.antipode, data.left_integral
+    raise SepidemError(f"unknown side {side!r}")
 
 
 def implementing_element_from_trace(e: TensorElement, tau: LinearFunctional,
@@ -190,16 +216,9 @@ def implementing_element_from_trace(e: TensorElement, tau: LinearFunctional,
         raise NotATrace(w)
     if data is None:
         data = derive_all(e)
-    if side == "B":
-        q = slice_left(tau, e)
-        _assert_relative_commutation(q, data.modular)
-    elif side == "C":
-        from .tensor import slice_right
-
-        q = slice_right(e, tau)
-        _assert_relative_commutation(q, data.reverse_modular)
-    else:
-        raise SepidemError(f"unknown side {side!r}")
+    modular = _trace_side(data, side)[0]
+    q = slice_left(tau, e) if side == "B" else slice_right(e, tau)
+    _assert_relative_commutation(q, modular)
     if trace_functional_of(q, data, side) != tau:
         raise SepidemError("trace round-trip through the implementing element fails")
     return q
@@ -207,12 +226,8 @@ def implementing_element_from_trace(e: TensorElement, tau: LinearFunctional,
 
 def trace_functional_of(q: AlgebraElement, data: DerivedData, side: str = "B") -> LinearFunctional:
     """psi(S'(q) . ) on B for side="B"; phi(S(q) . ) on C for side="C"."""
-    if side == "B":
-        t = data.reverse_antipode(q)
-        integral = data.right_integral
-    else:
-        t = data.antipode(q)
-        integral = data.left_integral
+    _, antipode, integral = _trace_side(data, side)
+    t = antipode(q)
     alg = t.algebra
     cov = linalg.vec_mat(list(integral.covector), alg.left_mult_matrix(t.coeffs), alg.field)
     return LinearFunctional(alg, cov)
@@ -237,12 +252,7 @@ def trace_from_implementing_element(e: TensorElement, q: AlgebraElement,
     """
     if data is None:
         data = derive_all(e)
-    if side == "B":
-        _assert_relative_commutation(q, data.modular)
-    elif side == "C":
-        _assert_relative_commutation(q, data.reverse_modular)
-    else:
-        raise SepidemError(f"unknown side {side!r}")
+    _assert_relative_commutation(q, _trace_side(data, side)[0])
     tau = trace_functional_of(q, data, side)
     w = tau.traciality_witness()
     if w is not None:

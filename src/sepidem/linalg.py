@@ -9,11 +9,12 @@ straightforward Gaussian elimination with zero-skipping.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from math import lcm
 
 from .errors import SepidemError
-from .scalars import GaussianRational, Rational, conj, gauss
+from .scalars import GaussianRational, conj, gauss
 
 
 class InconsistentSystem(SepidemError):
@@ -100,9 +101,9 @@ def _exact_mat_mul(a, b, zero):
         for l in range(nb):
             x, y = re[l], im[l]
             if y:
-                row[l] = gauss(Rational(x, den), Rational(y, den))
+                row[l] = gauss(Fraction(x, den), Fraction(y, den))
             elif x:
-                row[l] = Rational(x, den)
+                row[l] = Fraction(x, den)
     return out
 
 
@@ -197,8 +198,8 @@ def multilinear_values(kernel, rows, cols, field, *operands):
     if not field.is_exact:
         return sums
     zero = field.zero
-    return [[gauss(Rational(x[0], den), Rational(x[1], den)) if type(x) is tuple
-             else Rational(x, den) if x else zero
+    return [[gauss(Fraction(x[0], den), Fraction(x[1], den)) if type(x) is tuple
+             else Fraction(x, den) if x else zero
              for x in row] for row in sums]
 
 

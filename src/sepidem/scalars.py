@@ -2,12 +2,11 @@
 
 Two backends are supported:
 
-* exact -- Gaussian rationals.  Real values are plain ``gmpy2.mpq``
-  (``fractions.Fraction`` if gmpy2 is unavailable); values with a nonzero
-  imaginary part are ``GaussianRational`` pairs.  Arithmetic normalizes
-  back to the plain rational type whenever the imaginary part cancels, so
-  purely real computations never pay for the complex wrapper.  Equality is
-  literal.
+* exact -- Gaussian rationals.  Real values are plain
+  ``fractions.Fraction``; values with a nonzero imaginary part are
+  ``GaussianRational`` pairs.  Arithmetic normalizes back to the plain
+  rational type whenever the imaginary part cancels, so purely real
+  computations never pay for the complex wrapper.  Equality is literal.
 
 * float64 -- Python ``complex``, compared up to a configurable relative
   tolerance (default 1e-9).
@@ -22,25 +21,20 @@ from fractions import Fraction
 
 from .errors import BackendMismatch
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # without gmpy2 the exact backend runs on fractions.Fraction
-    Rational = Fraction
+_REAL_TYPES = (int, Fraction)
 
-_REAL_TYPES = (int, type(Rational(0)), Fraction)
-
-_R0 = Rational(0)
-_R1 = Rational(1)
+_R0 = Fraction(0)
+_R1 = Fraction(1)
 
 
-def rational(x) -> "Rational":
+def rational(x) -> Fraction:
     """Coerce x to the exact rational type.  Floats are rejected."""
-    if isinstance(x, type(_R0)):
+    if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Rational(x)
+    if isinstance(x, int):
+        return Fraction(x)
     if isinstance(x, str):
-        return Rational(x.strip())
+        return Fraction(x.strip())
     raise TypeError(f"cannot coerce {x!r} to an exact rational (floats are not exact)")
 
 
@@ -202,9 +196,7 @@ class ExactField:
 
     def coerce(self, x):
         if isinstance(x, _REAL_TYPES):
-            if isinstance(x, type(_R0)):
-                return x
-            return Rational(x)
+            return x if isinstance(x, Fraction) else Fraction(x)
         if isinstance(x, GaussianRational):
             return _gauss(x.re, x.im)
         if isinstance(x, str):
@@ -264,10 +256,8 @@ class Float64Field:
     def coerce(self, x):
         if isinstance(x, complex):
             return x
-        if isinstance(x, (int, float)):
+        if isinstance(x, (int, float, Fraction)):
             return complex(x)
-        if isinstance(x, (Fraction, type(_R0))):
-            return complex(float(x))
         if isinstance(x, GaussianRational):
             return to_complex(x)
         if isinstance(x, str):

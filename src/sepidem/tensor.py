@@ -265,14 +265,10 @@ def right_leg(e: TensorElement) -> Subspace:
     return Subspace(e.right, [list(r) for r in e.rows])
 
 
-def coefficient_rank(e: TensorElement) -> int:
-    return linalg.rank([list(r) for r in e.rows], e.field)
-
-
 def is_full(e: TensorElement) -> bool:
     """Both legs equal their whole algebra.  Needs dim B = dim C = rank."""
-    r = coefficient_rank(e)
-    return r == e.left.dim and r == e.right.dim
+    rank = linalg.rank([list(row) for row in e.rows], e.field)
+    return rank == e.left.dim and rank == e.right.dim
 
 
 def slice_left(omega: LinearFunctional, e: TensorElement) -> AlgebraElement:

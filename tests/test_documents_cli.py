@@ -301,3 +301,73 @@ def test_cli_float_mode(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["scalar_mode"] == "float64"
     assert abs(doc["derived"]["S"][1][2] - 1.0) < 1e-9
+
+
+# -- dimension bound -----------------------------------------------------------------
+
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Makes every builder of an algebra table or a random pair fail the
+    test, so an oversized document is shown to be refused before any."""
+    from sepidem import algebra, cli, constructions, documents
+
+    def built(*args, **kwargs):
+        raise AssertionError("a table or random pair was built")
+
+    for mod in (algebra, cli, constructions, documents):
+        for name in ("matrix_algebra", "structure_constant_algebra", "direct_sum",
+                     "random_twisted_pair", "random_involutive_diagonal"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, built)
+
+
+def test_dimension_bound():
+    from sepidem.documents import MAX_DIM, check_dim
+
+    check_dim(MAX_DIM, "$")
+    with pytest.raises(DocumentError, match="exceeds the limit"):
+        check_dim(MAX_DIM + 1, "$")
+
+
+@pytest.mark.parametrize("kind", ["E0", "nonfull", "twisted", "involutive_twisted"])
+def test_construct_refuses_oversized_n(kind, nothing_built, capsys):
+    code, out, err = run(["construct", f"--kind={kind}", "--n=1000000", "--seed=1"], capsys)
+    assert code == 2 and not out
+    assert "algebra dimension 1000000000000 exceeds the limit" in err
+
+
+@pytest.mark.parametrize("doc,loc", [
+    ({"algebras": {"blocks": [1, 10, 10]}, "E": {"kind": "explicit", "coefficients": []}},
+     "$.E"),
+    ({"algebras": {"structure_constants": {"constants": [[]] * 37, "unit": []}},
+      "E": {"kind": "explicit", "coefficients": []}},
+     "$.algebras.structure_constants.constants"),
+    ({"E": {"kind": "direct_sum", "components": [{"kind": "E0", "n": 10},
+                                                 {"kind": "E0", "n": 10}]}}, "$.E"),
+    ({"E": {"kind": "twisted", "r": [[1]] * 15, "s": [[1]] * 15}}, "$.E"),
+    ({"E": {"kind": "E0", "n": 1000000}}, "$.E"),
+], ids=["blocks", "structure_constants", "direct_sum", "twisted", "E0"])
+def test_verify_refuses_oversized_documents(doc, loc, nothing_built, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 2 and not out
+    assert "exceeds the limit" in err and loc in err
+
+
+def test_structure_constants_bound_is_the_dense_one():
+    from sepidem.documents import MAX_DENSE_DIM
+
+    constants = {"constants": [[]] * MAX_DENSE_DIM, "unit": []}
+    with pytest.raises(DocumentError) as exc:
+        parse_instance({"algebras": {"structure_constants": constants},
+                        "E": {"kind": "explicit", "coefficients": []}})
+    assert "exceeds the limit" not in str(exc.value)
+
+
+def test_construct_refuses_oversized_components(nothing_built, capsys):
+    comps = json.dumps([{"kind": "E0", "n": 14}, {"kind": "E0", "n": 1}])
+    code, out, err = run(["construct", "--kind=direct_sum", "--components", comps], capsys)
+    assert code == 2 and not out
+    assert "algebra dimension 197 exceeds the limit" in err

@@ -131,16 +131,6 @@ def test_exact_mat_mul_empty():
     assert linalg.mat_mul(zeros, mat([[1, 2], [3, 4]]), F) == zeros
 
 
-def test_exact_mat_mul_mpq():
-    gmpy2 = pytest.importorskip("gmpy2")
-    rng = random.Random(13)
-    entry = lambda r: gmpy2.mpq(r.randint(-30, 30), r.randint(1, 12))
-    for _ in range(30):
-        a = random_matrix(rng, 4, 5, entry)
-        b = random_matrix(rng, 5, 3, entry)
-        assert linalg.mat_mul(a, b, F) == triple_loop(a, b)
-
-
 def test_nullspace():
     a = mat([[1, 2, 3], [2, 4, 6]])
     basis = linalg.nullspace(a, F)
