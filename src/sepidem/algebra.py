@@ -2,8 +2,9 @@
 
 An Algebra stores its structure constants sparsely: ``mult[i][j]`` is the
 tuple of ``(k, coeff)`` pairs of the basis product b_i * b_j.  Construction
-eagerly verifies associativity and the unit laws, since every derivation
-downstream assumes them; a two-sided unit makes the product
+eagerly verifies associativity and the unit laws (a block presentation
+implies them, see Algebra._validate), since every derivation downstream
+assumes them; a two-sided unit makes the product
 non-degenerate (x A = 0 gives x = x 1 = 0).  Multi-matrix algebras
 additionally carry a block presentation: an ordered list of block sizes,
 the basis being the matrix units of each block in row-major order.
@@ -61,8 +62,20 @@ class Algebra:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
+        """Proves the laws every derivation assumes: associativity, the unit
+        laws and, with a star, an involutive anti-multiplicative star that
+        fixes the unit.
+
+        A block presentation is checked first (_validate_blocks): the table
+        is the matrix-unit table, e_ij e_kl = e_il when both units lie in
+        one block and j = k, and 0 otherwise, and the unit is the sum of
+        the diagonal units.  The basis then multiplies as the matrix units
+        of the direct sum of full matrix algebras, so the product is
+        associative and the unit, the identity matrix of each block, is a
+        two-sided unit; neither law is recomputed.  An algebra without
+        blocks has both checked on every basis triple and pair.
+        """
         d = self.dim
-        f = self.field
         if len(self.mult) != d or any(len(r) != d for r in self.mult):
             raise SepidemError("structure constant table has the wrong shape")
         # the kernels index rows by k, where a negative k would wrap around
@@ -70,6 +83,16 @@ class Algebra:
             raise SepidemError("structure constant table names a basis index out of range")
         if len(self.unit) != d:
             raise SepidemError("unit coefficient vector has the wrong length")
+        if self.blocks is not None:
+            self._validate_blocks()
+        else:
+            self._validate_laws()
+        if self.star_matrix is not None:
+            self._validate_star()
+
+    def _validate_laws(self):
+        d = self.dim
+        f = self.field
         # (b_i b_j) b_k against b_i (b_j b_k), row k for every k at once;
         # both sides are numerators over the square of the table's denominator
         for i in range(d):
@@ -88,12 +111,21 @@ class Algebra:
             if not all(f.eq(m[k][j], f.one if k == j else f.zero)
                        for m in (left, right) for k in range(d)):
                 raise NotUnital(f"unit fails on basis element {self.labels[j]}")
-        if self.star_matrix is not None:
-            self._validate_star()
-        if self.blocks is not None:
-            self._validate_blocks()
 
     def _validate_star(self):
+        """The star x -> SM conj(x) is involutive, fixes the unit and is
+        anti-multiplicative.
+
+        With a block presentation the last is checked in matrix form on the
+        generating set G: SM conj(L_g) = R_{g*} SM, which states
+        (g x)* = x* g* for every x.  That suffices by the good-element
+        argument of LinearMap.assert_anti_multiplicative, which holds for
+        an antilinear map too: the good elements are closed under sums,
+        scalar multiples (conj(l) (g x)* = x* (l g)*) and products, and
+        contain 1 (1* = 1) and G, so they are the whole algebra.  The basis
+        pairs are searched only to name the witness of a failure.  An
+        algebra without blocks checks every basis pair.
+        """
         f = self.field
         sm = [list(r) for r in self.star_matrix]
         d = self.dim
@@ -104,28 +136,56 @@ class Algebra:
         unit_elem = AlgebraElement(self, self.unit)
         if unit_elem.star() != unit_elem:
             raise SepidemError("star does not fix the unit")
+        if self.blocks is not None and all(self._star_reverses(g, sm)
+                                           for g in self.generating_set()):
+            return
+        pair = self._star_witness()
+        if pair is not None:
+            i, j = pair
+            raise SepidemError(
+                f"star is not anti-multiplicative on ({self.labels[i]}, {self.labels[j]})"
+            )
+
+    def _star_reverses(self, g, sm):
+        """SM conj(L_g) = R_{g*} SM for g in the generating set, where
+        conj(L_g) = L_g: g has coefficients 0 and 1, and so has the
+        matrix-unit table."""
+        f = self.field
+        lhs = linalg.mat_mul(sm, self.left_mult_matrix(g.coeffs), f)
+        rhs = linalg.mat_mul(self.right_mult_matrix(g.star().coeffs), sm, f)
+        return lhs == rhs if f.is_exact else linalg.mat_eq(lhs, rhs, f)
+
+    def _star_witness(self):
+        """The first basis pair (i, j) with (b_i b_j)* != b_j* b_i*, or None."""
+        d = self.dim
         stars = [self.basis_element(i).star() for i in range(d)]
         for i in range(d):
             for j in range(d):
                 lhs = self.basis_element(i) * self.basis_element(j)
                 if lhs.star() != stars[j] * stars[i]:
-                    raise SepidemError(
-                        f"star is not anti-multiplicative on ({self.labels[i]}, {self.labels[j]})"
-                    )
+                    return i, j
+        return None
 
     def _validate_blocks(self):
         if sum(n * n for n in self.blocks) != self.dim:
             raise SepidemError("block sizes do not add up to the dimension")
         f = self.field
-        for t1 in range(self.dim):
-            a1, i1, j1 = self.block_coordinates(t1)
-            for t2 in range(self.dim):
-                a2, i2, j2 = self.block_coordinates(t2)
-                if a1 == a2 and j1 == i2:
-                    expect = {self.unit_index(a1, i1, j2): f.one}
+        coords = [(o, n, r // n, r % n)
+                  for o, n in zip(self.block_offsets(), self.blocks) for r in range(n * n)]
+        for t1, (o, n, i1, j1) in enumerate(coords):
+            # b_t1 b_t2 = e_{i1 j2} when t2 = e_{j1 j2} of the same block, else 0
+            row = o + j1 * n
+            for t2, cell in enumerate(self.mult[t1]):
+                if row <= t2 < row + n:
+                    k = o + i1 * n + t2 - row
+                    if cell == ((k, f.one),):
+                        continue
+                    expect = {k: f.one}
+                elif not cell:
+                    continue
                 else:
                     expect = {}
-                if not _sparse_eq(dict(self.mult[t1][t2]), expect, f):
+                if not _sparse_eq(_cell_sums(cell, f), expect, f):
                     raise SepidemError(
                         "structure constants do not match the declared block presentation"
                     )
@@ -293,6 +353,15 @@ class Algebra:
 def _carry(src_field, dst_field, c):
     # exact -> float is plain numeric conversion; exact -> exact is identity
     return dst_field.coerce(src_field.to_complex(c)) if not dst_field.is_exact else dst_field.coerce(c)
+
+
+def _cell_sums(cell, field):
+    """A table cell as {k: coefficient}, repeated indices summed, as the
+    product kernels sum them."""
+    out = {}
+    for k, c in cell:
+        out[k] = out.get(k, field.zero) + c
+    return out
 
 
 def _sparse_eq(a, b, field):

@@ -9,13 +9,20 @@ are canonical, and representatives can be recovered from covectors through
 the inverse of the faithfulness form.
 
 pairing_table and plancherel_gram build the CLI's dim x dim tables.  They
-compute S'^-1(b), S^-1(c), the dual star (c^)* and c* once per argument,
-and every dual star contracts against rows S(b_k)*, S'(c_l)* computed once
-per Duality, so the 2 dim dual stars (with their involution checks) cost
-O(dim^3) in all, where one pairing or plancherel_form call per entry took
-2 dim^2 of them, O(dim^4).  Every entry still asserts its identities (both
-closed reductions of the pairing; the Plancherel identity), and every dual
-star its representative law and involutivity.
+compute the dual star (c^)* once per argument, and every dual star
+contracts against rows S(b_k)*, S'(c_l)* computed once per Duality and
+side (_star_matrices), so the 2 dim dual stars (with their involution
+checks) cost O(dim^3) in all.  Every entry still asserts its identities,
+each table of them as matrix products of the representatives' coefficient
+rows: with X and V the rows of the b's and c's, the closed reductions of
+the pairing are
+
+    phi(S'^-1(b) c) = (X S'^-1^T) (V F_C)^T    psi(b S^-1(c)) = (X F_B) (V S^-1^T)^T
+
+and the Plancherel identity's right-hand side phi(c2* c1) is Y (V F_C)^T,
+Y the rows of the c2*, where F_B and F_C are the Fourier matrices of the
+sides (V F_C has the rows phi( . c)).  Every dual star asserts its
+representative law and involutivity.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ class Duality:
                        data.antipode, _inverse_map(e, "right"), "B"),
         }
         self._inverse_fourier = {}
-        self._star_rows_memo = {}
+        self._star_memo = {}
 
     def _side(self, side) -> "_Side":
         if side not in self._sides:
@@ -121,22 +128,20 @@ class Duality:
 
     def pairing_table(self, bhats, chats):
         """[[<bh, ch> for ch in chats] for bh in bhats], each entry asserted
-        as in pairing, with S'^-1(b) and S^-1(c) computed once per element."""
+        as in pairing, the reductions as matrix products (module docstring)."""
         _require_side(bhats, "B", _PAIRING_SIDES)
         _require_side(chats, "C", _PAIRING_SIDES)
-        sp_inv_b = [self._sides["B"].into_inv(bh.representative) for bh in bhats]
-        s_inv_c = [self._sides["C"].into_inv(ch.representative) for ch in chats]
-        return [[self._pairing_entry(bh, ch, x, y) for ch, y in zip(chats, s_inv_c)]
-                for bh, x in zip(bhats, sp_inv_b)]
-
-    def _pairing_entry(self, bhat, chat, sp_inv_b, s_inv_c):
         f = self.field
-        acc = _contract(bhat.covector, self.element.rows, chat.covector, f)
-        red1 = self.data.left_integral(sp_inv_b * chat.representative)
-        red2 = self.data.right_integral(bhat.representative * s_inv_c)
-        if not (f.eq(acc, red1) and f.eq(acc, red2)):
+        sb, sc = self._sides["B"], self._sides["C"]
+        xs = [list(bh.representative.coeffs) for bh in bhats]
+        vs = [list(ch.representative.coeffs) for ch in chats]
+        red1 = linalg.mat_mul(sb.images(xs, f), linalg.transpose(sc.covectors(vs, f)), f)
+        red2 = linalg.mat_mul(sb.covectors(xs, f), linalg.transpose(sc.images(vs, f)), f)
+        table = [[_contract(bh.covector, self.element.rows, ch.covector, f) for ch in chats]
+                 for bh in bhats]
+        if not (linalg.mat_eq(table, red1, f) and linalg.mat_eq(table, red2, f)):
             raise SepidemError("pairing reductions disagree; derived maps are inconsistent")
-        return acc
+        return table
 
     # -- dual antipodes -------------------------------------------------------
 
@@ -164,12 +169,13 @@ class Duality:
         (b^)* = (S(b*))^.  C side: omega*(b) = conj(omega(S(b)*)), with
         (c^)* = (S'(c*))^.  Involutivity omega** = omega is asserted.
         """
-        if self.B.star_matrix is None or self.C.star_matrix is None:
-            raise NoStarStructure("dual star needs star structures on both algebras")
+        self._require_stars()
         side = self._side(w.side).other
         f = self.field
-        cov = [f.conj(_apply_covector(w.covector, t, f)) for t in self._star_rows(w.side)]
-        rep = self._sides[side].into(w.representative.star())
+        star_cols, into_cols = self._star_matrices(w.side)
+        cov = [f.conj(c) for c in linalg.vec_mat(list(w.covector), star_cols, f)]
+        rep = AlgebraElement(self._sides[side].algebra,
+                             linalg.vec_mat(list(w.representative.star().coeffs), into_cols, f))
         out = DualElement(side, rep, tuple(cov))
         if self.fourier(rep, side) != out:
             raise SepidemError("dual star representative law fails")
@@ -177,41 +183,53 @@ class Duality:
             raise SepidemError("dual star is not involutive")
         return out
 
-    def _star_rows(self, side):
-        """Coefficients of S'(c_l)* (B-side input) or S(b_k)* (C-side input),
-        the rows a dual star contracts against; computed once per side."""
-        rows = self._star_rows_memo.get(side)
-        if rows is None:
+    def _star_matrices(self, side):
+        """For a dual on side, once per side: the columns S'(c_l)* (B side)
+        or S(b_k)* (C side) its covector contracts against, and the
+        transposed matrix of the anti-isomorphism into the other side."""
+        mats = self._star_memo.get(side)
+        if mats is None:
             t = self._sides[side].into
-            rows = [t.on_basis(k).star().coeffs for k in range(t.source.dim)]
-            self._star_rows_memo[side] = rows
-        return rows
+            other = self._sides[self._sides[side].other].into
+            mats = (linalg.transpose([t.on_basis(k).star().coeffs for k in range(t.source.dim)]),
+                    linalg.transpose(other.rows))
+            self._star_memo[side] = mats
+        return mats
 
     # -- Plancherel ----------------------------------------------------------------
 
     def plancherel_form(self, chat1: DualElement, chat2: DualElement):
         """<c1^, c2^> = <E, (c2^)* (x) c1^>, asserted equal to phi(c2* c1)."""
         _require_side((chat1, chat2), "C", _PLANCHEREL_SIDES)
-        return self._plancherel_entry(chat1, self.dual_star(chat2),
-                                      chat2.representative.star())
+        return self._plancherel_rows([chat2], [chat1])[0][0]
 
     def plancherel_gram(self, chats):
         """[[<c1^, c2^> for c1 in chats] for c2 in chats], each entry
-        asserted as in plancherel_form, with (c2^)* (its laws asserted) and
-        c2* computed once per c2."""
+        asserted as in plancherel_form, phi(c2* c1) as a matrix product
+        (module docstring)."""
         _require_side(chats, "C", _PLANCHEREL_SIDES)
-        gram = []
-        for c2 in chats:
-            star2, c2_star = self.dual_star(c2), c2.representative.star()
-            gram.append([self._plancherel_entry(c1, star2, c2_star) for c1 in chats])
-        return gram
+        return self._plancherel_rows(chats, chats)
 
-    def _plancherel_entry(self, chat1, star2, c2_star):
+    def _plancherel_rows(self, c2s, c1s):
+        """One row per c2 of <c1^, c2^> over c1s; (c2^)* and its laws are
+        asserted once per c2, before the entries of its row."""
+        self._require_stars()
         f = self.field
-        acc = _contract(star2.covector, self.element.rows, chat1.covector, f)
-        if not f.eq(acc, self.data.left_integral(c2_star * chat1.representative)):
-            raise SepidemError("Plancherel identity fails; derived data inconsistent")
-        return acc
+        stars = [list(c2.representative.star().coeffs) for c2 in c2s]
+        covs = self._sides["C"].covectors([list(c1.representative.coeffs) for c1 in c1s], f)
+        want = linalg.mat_mul(stars, linalg.transpose(covs), f)
+        rows = []
+        for c2, want_row in zip(c2s, want):
+            star2 = self.dual_star(c2)
+            row = [_contract(star2.covector, self.element.rows, c1.covector, f) for c1 in c1s]
+            if not linalg.mat_eq([row], [want_row], f):
+                raise SepidemError("Plancherel identity fails; derived data inconsistent")
+            rows.append(row)
+        return rows
+
+    def _require_stars(self):
+        if self.B.star_matrix is None or self.C.star_matrix is None:
+            raise NoStarStructure("dual star needs star structures on both algebras")
 
 
 class _Side(NamedTuple):
@@ -225,6 +243,14 @@ class _Side(NamedTuple):
     into: object
     into_inv: object
     other: str
+
+    def covectors(self, reps, field):
+        """The Fourier covectors of the elements with coefficient rows reps."""
+        return linalg.mat_mul(reps, self.fourier, field)
+
+    def images(self, reps, field):
+        """The coefficient rows of into_inv of those elements, on the other side."""
+        return linalg.mat_mul(reps, linalg.transpose(self.into_inv.rows), field)
 
 
 _PAIRING_SIDES = "pairing takes a B-side and a C-side dual element"
@@ -246,12 +272,4 @@ def _contract(x, rows, y, field):
         for j, m in enumerate(row):
             if m and y[j]:
                 acc = acc + xi * m * y[j]
-    return acc
-
-
-def _apply_covector(cov, coeffs, field):
-    acc = field.zero
-    for a, b in zip(cov, coeffs):
-        if a and b:
-            acc = acc + a * b
     return acc

@@ -116,17 +116,7 @@ def verify_idempotent(e: TensorElement) -> IdempotencyVerdict:
         return IdempotencyVerdict("idempotent")
     if e2.is_zero():
         return IdempotencyVerdict("nilpotent_square_zero")
-    pivot = None
-    best = 0.0
-    for i, j, c in e.nonzero_items():
-        if f.is_exact:
-            if not f.is_zero(c):
-                pivot = (i, j)
-                break
-        else:
-            if abs(c) > best:
-                best = abs(c)
-                pivot = (i, j)
+    pivot = _pivot(e)
     if pivot is not None:
         i, j = pivot
         lam = e2.rows[i][j] / e.rows[i][j]
@@ -137,6 +127,15 @@ def verify_idempotent(e: TensorElement) -> IdempotencyVerdict:
             if not f.eq(e2.rows[i][j], e.rows[i][j]):
                 return IdempotencyVerdict("other", witness=(i, j))
     return IdempotencyVerdict("other")
+
+
+def _pivot(e: TensorElement):
+    """(i, j) of the first nonzero coefficient of E in exact mode, of the
+    first largest in float mode; None when E is zero."""
+    if e.field.is_exact:
+        return next(((i, j) for i, j, _ in e.nonzero_items()), None)
+    best = max(e.nonzero_items(), key=lambda item: abs(item[2]), default=None)
+    return None if best is None else best[:2]
 
 
 def _derived(e: TensorElement, step: str, fn, *args):

@@ -145,12 +145,6 @@ class TwistError(SepidemError):
     pass
 
 
-class SolutionSpaceDimensionNotOne(TwistError):
-    def __init__(self, dimension):
-        self.dimension = dimension
-        super().__init__(f"intertwiner solution space has dimension {dimension}, expected 1")
-
-
 class ReconstructionMismatch(TwistError):
     pass
 

@@ -15,21 +15,18 @@ from .algebra import (
     AlgebraElement,
     LinearFunctional,
     LinearMap,
+    element_from_matrix,
     matrix_algebra,
-    trace_functional,
-    transpose_anti_map,
 )
 from .engine import (CheckOutcome, SeparabilityCertificate, _derived, _inverse_map, _map,
-                     certify, integral_covector)
+                     _pivot, certify, integral_covector)
 from .errors import (
     CrossBlockLeakage,
     GramNotPositiveDefinite,
     InequalityViolation,
     NoBlockPresentation,
-    NotInvertible,
     ReconstructionMismatch,
     SepidemError,
-    SolutionSpaceDimensionNotOne,
     TwistError,
 )
 from .integrals import DerivedData, derive_all
@@ -114,18 +111,32 @@ def check_positivity_transfer(e: TensorElement, data: DerivedData = None) -> Che
     return CheckOutcome(not failures, failures or None)
 
 
+def _gram_operand(g, field):
+    """The Gram matrix as an operand of linalg.multilinear: in exact mode
+    integer numerators over one common denominator."""
+    return linalg.split([[(j, v) for j, v in enumerate(row) if v] for row in g], field)
+
+
 def _quadform(g, x, field):
-    """f(x* x) through the Gram matrix: sum conj(x_i) G[i][j] x_j."""
-    acc = field.zero
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        ci = field.conj(xi)
-        row = g[i]
-        for j, xj in enumerate(x):
-            if xj and row[j]:
-                acc = acc + ci * row[j] * xj
-    return acc
+    """f(x* x) through the Gram matrix operand g: sum conj(x_i) G[i][j] x_j,
+    accumulated on integer numerators in exact mode."""
+    items = [(i, c) for i, c in enumerate(x) if c]
+    xc = linalg.split([[(i, field.conj(c)) for i, c in items]], field)
+    return linalg.multilinear_values(_quadform_kernel, 1, 1, field, xc, g,
+                                     linalg.split([items], field))[0][0]
+
+
+def _quadform_kernel(out, xc, g, x):
+    dense = dict(x[0])
+    acc = out[0][0]
+    for i, ci in xc[0]:
+        s = 0
+        for j, gij in g[i]:
+            xj = dense.get(j)
+            if xj:
+                s += gij * xj
+        acc += ci * s
+    out[0][0] = acc
 
 
 def _le(field, lhs, rhs, witness):
@@ -150,8 +161,8 @@ def check_cauchy_bound(e: TensorElement, samples, rng=None, data: DerivedData = 
         data = derive_all(e)
     B, C = e.left, e.right
     f = e.field
-    gc = gram_matrix(data.left_integral)
-    gb = gram_matrix(data.right_integral)
+    gc = _gram_operand(gram_matrix(data.left_integral), f)
+    gb = _gram_operand(gram_matrix(data.right_integral), f)
     if isinstance(samples, int):
         if rng is None:
             raise SepidemError("a sample count needs an rng")
@@ -216,10 +227,11 @@ def gns_data(fun: LinearFunctional, rng=None, extra_samples: int = 0) -> GnsData
 
         pairs += [(random_element(a, rng), random_element(a, rng))
                   for _ in range(extra_samples)]
+    gram = _gram_operand(g, f)
     for idx, (c, cp) in enumerate(pairs):
         w = c * cp
-        lhs = _quadform(g, w.coeffs, f)
-        rhs = _quadform(g, c.star().coeffs, f) * _quadform(g, cp.coeffs, f)
+        lhs = _quadform(gram, w.coeffs, f)
+        rhs = _quadform(gram, c.star().coeffs, f) * _quadform(gram, cp.coeffs, f)
         _le(f, lhs, rhs, ("gns-bound", idx))
     return GnsData(
         gram=tuple(tuple(r) for r in g),
@@ -238,13 +250,24 @@ class TwistData:
 def recover_twist(e: TensorElement) -> TwistData:
     """Invert the twist construction on a single matrix block.
 
-    With S0 the transposition, S'(c) = r S0(c) r^-1 and S(b) = S0(s b s^-1)
-    for unique-up-to-scalar invertible r, s.  Each is found as the
-    one-dimensional nullspace of the intertwiner system, the scalar gauge
-    is fixed by normalizing the first nonzero entry of r to 1 and scaling
-    s so that tr(s r) = n (when tr(s r) = 0, the nilpotent variant, s is
-    pinned by the reconstruction equation instead), and the reconstruction
-    E = (r (x) 1) E0 (s (x) 1) is asserted exactly.
+    The coefficient of e_kl (x) e_ij in E = (r (x) 1) E0 (s (x) 1) is
+    r_ki s_jl / n, so r and s are read off E itself.  Pin a position
+    (e_kl, e_ij) where E is nonzero (the first one in exact mode, the
+    largest in float mode, the pivot rule of verify_idempotent) with value
+    v: then r_ab = E(e_al, e_bj) and s_ab = n E(e_kb, e_ia) / v are
+    multiples of r and s by l and 1/l for some scalar l.  The gauge
+    normalizes the first nonzero entry of r to 1 and scales s so that
+    tr(s r) = n; when tr(s r) = 0, the nilpotent variant, s stays as E pins
+    it.  Both must be invertible, and E = (r (x) 1) E0 (s (x) 1) is asserted
+    exactly, entry by entry.
+
+    That assertion is the proof: whatever E is, the returned pair
+    reproduces it.  A twist determines its pair up to (l r, s / l), since
+    r_ki s_jl = r'_ki s'_jl for all indices makes r' and s' multiples of r
+    and s with reciprocal factors; the gauge fixes l.  So the result is the
+    pair of the intertwiner description (S'(c) = r S0(c) r^-1 and
+    S(b) = S0(s b s^-1), S0 the transposition) in the same gauge, without
+    solving for it.
     """
     B, C = e.left, e.right
     if B.blocks is None or len(B.blocks) != 1 or C.blocks != B.blocks:
@@ -253,61 +276,33 @@ def recover_twist(e: TensorElement) -> TwistData:
         )
     if B != C:
         raise SepidemError("twist recovery identifies the two tensor legs; presentations must agree")
-    s, sp = _map(e, "right"), _map(e, "left")
     f = e.field
     n = B.blocks[0]
-    s0_b = transpose_anti_map(B)
-    s0_c_inv = transpose_anti_map(C).inverse()
-    r_elt = _intertwiner(B, lambda k: sp(s0_b.on_basis(k)))
-    s_elt = _intertwiner(B, lambda k: s0_c_inv(s.on_basis(k)))
-    # gauge: first nonzero entry of r becomes 1
-    pivot = next(c for c in r_elt.coeffs if c)
-    r_elt = (f.one / pivot) * r_elt
-    tr = trace_functional(B)
-    t = tr(s_elt * r_elt)
-    e0 = TensorElement(B, C, _diagonal(B.dim, f.one / f.coerce(n), f))
+    pin = _pivot(e)
+    if pin is None:
+        raise ReconstructionMismatch("cannot pin the twist scale on a zero element")
+    rows = e.rows
+    (k, l), (i, j) = divmod(pin[0], n), divmod(pin[1], n)
+    scale = f.coerce(n) / rows[pin[0]][pin[1]]
+    r = [[rows[a * n + l][b * n + j] for b in range(n)] for a in range(n)]
+    s = [[scale * rows[k * n + b][i * n + a] for b in range(n)] for a in range(n)]
+    # gauge: first nonzero entry of r becomes 1, then tr(s r) = n unless it is 0
+    pivot = next(c for row in r for c in row if c)
+    r = [[c / pivot for c in row] for row in r]
+    s = [[pivot * c for c in row] for row in s]
+    t = sum(s[a][b] * r[b][a] for a in range(n) for b in range(n))
     if not f.is_zero(t):
-        s_elt = (f.coerce(n) / t) * s_elt
-    else:
-        trial = e0.lmul_b(r_elt).rmul_b(s_elt)
-        pin = next(((i, j) for i, j, c in e.nonzero_items() if not f.is_zero(c)), None)
-        if pin is None:
-            raise ReconstructionMismatch("cannot pin the twist scale on a zero element")
-        i, j = pin
-        if f.is_zero(trial.rows[i][j]):
-            raise ReconstructionMismatch("twist candidate vanishes where the element does not")
-        s_elt = (e.rows[i][j] / trial.rows[i][j]) * s_elt
-    try:
-        r_elt.inverse()
-        s_elt.inverse()
-    except NotInvertible as exc:
-        raise TwistError(f"recovered twist is not invertible: {exc}") from None
-    if e0.lmul_b(r_elt).rmul_b(s_elt) != e:
+        s = [[(f.coerce(n) / t) * c for c in row] for row in s]
+    for name, m in (("r", r), ("s", s)):
+        rank = linalg.rank(m, f)
+        if rank < n:
+            raise TwistError(f"recovered twist is not invertible: {name} has rank {rank} < {n}")
+    inv_n = f.one / f.coerce(n)
+    twist = [[inv_n * r[a][b] * s[c][d] for b in range(n) for c in range(n)]
+             for a in range(n) for d in range(n)]
+    if TensorElement._raw(B, C, twist) != e:
         raise ReconstructionMismatch("(r (x) 1) E0 (s (x) 1) does not reproduce the element")
-    return TwistData(r_elt, s_elt)
-
-
-def _diagonal(dim, value, field):
-    rows = [[field.zero] * dim for _ in range(dim)]
-    for t in range(dim):
-        rows[t][t] = value
-    return rows
-
-
-def _intertwiner(a, image_of_basis):
-    """Solve image(b) x = x b for all basis b; the solution space must be a
-    line.  Returns its (unnormalized) generator."""
-    f = a.field
-    rows = []
-    for k in range(a.dim):
-        lhs = a.left_mult_matrix(image_of_basis(k).coeffs)
-        rhs = a.right_mult_matrix(a.basis_element(k).coeffs)
-        for t in range(a.dim):
-            rows.append([x - y for x, y in zip(lhs[t], rhs[t])])
-    kern = linalg.nullspace(rows, f)
-    if len(kern) != 1:
-        raise SolutionSpaceDimensionNotOne(len(kern))
-    return AlgebraElement(a, kern[0])
+    return TwistData(element_from_matrix(B, r), element_from_matrix(B, s))
 
 
 @dataclass(frozen=True)
@@ -322,7 +317,8 @@ class BlockData:
 def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
     """Split a certified element over aligned multi-matrix algebras into
     its per-block components, certify and twist-recover each, and verify
-    that all globally derived data restricts block-wise."""
+    that all globally derived data restricts block-wise.  An element over
+    one block is its own component, so its memo serves the certificate."""
     B, C = e.left, e.right
     if B.blocks is None or C.blocks is None:
         raise NoBlockPresentation("both algebras need block presentations")
@@ -344,8 +340,11 @@ def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
         lo_b, hi_b = bounds_b[a_idx]
         lo_c, hi_c = bounds_c[a_idx]
         comp_alg = matrix_algebra(n, with_star=with_star, field=f)
-        sub = [[e.rows[i][j] for j in range(lo_c, hi_c)] for i in range(lo_b, hi_b)]
-        comp = TensorElement(comp_alg, comp_alg, sub)
+        if B == comp_alg == C:  # a single block: the element itself, with its memo
+            comp = e
+        else:
+            sub = [[e.rows[i][j] for j in range(lo_c, hi_c)] for i in range(lo_b, hi_b)]
+            comp = TensorElement(comp_alg, comp_alg, sub)
         cert = certify(comp)
         if not cert.ok and cert.mode != "nilpotent_variant":
             raise SepidemError(f"block {a_idx} does not certify: {cert.reason}")

@@ -10,6 +10,7 @@ from sepidem.errors import (
     NotInvertible,
     NotMultiplicative,
     NotUnital,
+    SepidemError,
 )
 from sepidem.scalars import EXACT, rational
 
@@ -285,3 +286,90 @@ def test_functional_traciality(m2):
     assert tr.is_tracial()
     skew = m2.functional([1, 0, 0, 2])  # tau(e11) != tau(e22)
     assert skew.traciality_witness() is not None
+
+
+# -- validation of block-presented algebras --------------------------------------------------
+
+
+def _rebuild(a, mult=None, star=None):
+    """a's presentation again, with the table or the star matrix replaced."""
+    return sd.Algebra(a.field, a.labels, a.mult if mult is None else mult, a.unit,
+                      a.star_matrix if star is None else star, a.blocks)
+
+
+def _block_algebras():
+    return [sd.matrix_algebra(2, with_star=True),
+            sd.direct_sum([sd.matrix_algebra(1, with_star=True),
+                           sd.matrix_algebra(2, with_star=True)])]
+
+
+def _scaled_star(a, c):
+    return [[c * x for x in row] for row in a.star_matrix]
+
+
+def _first_star_failure(a, star):
+    """The exhaustive basis-pair loop: the first (i, j) where the map with
+    matrix star, applied to conjugated coefficients, does not reverse the
+    product b_i b_j."""
+    def apply(x):
+        return a.element([sum(star[k][i] * EXACT.conj(c) for i, c in enumerate(x.coeffs))
+                          for k in range(a.dim)])
+
+    for i in range(a.dim):
+        for j in range(a.dim):
+            bi, bj = a.basis_element(i), a.basis_element(j)
+            if apply(bi * bj) != apply(bj) * apply(bi):
+                return a.labels[i], a.labels[j]
+    return None
+
+
+@pytest.mark.parametrize("a", _block_algebras(), ids=["M2", "M1+M2"])
+def test_star_validation_rejects_a_non_involutive_star(a):
+    with pytest.raises(SepidemError, match="star map is not involutive"):
+        _rebuild(a, star=_scaled_star(a, 2))
+
+
+@pytest.mark.parametrize("a", _block_algebras(), ids=["M2", "M1+M2"])
+def test_star_validation_rejects_a_star_moving_the_unit(a):
+    # x -> -x* is involutive and antilinear, and sends 1 to -1
+    with pytest.raises(SepidemError, match="star does not fix the unit"):
+        _rebuild(a, star=_scaled_star(a, -1))
+
+
+@pytest.mark.parametrize("a", _block_algebras(), ids=["M2", "M1+M2"])
+def test_star_validation_names_the_first_failing_basis_pair(a):
+    # the identity is involutive and fixes the unit, but does not reverse products
+    identity = [[EXACT.one if i == k else EXACT.zero for i in range(a.dim)]
+                for k in range(a.dim)]
+    i, j = _first_star_failure(a, identity)
+    with pytest.raises(SepidemError,
+                       match=rf"star is not anti-multiplicative on \({i}, {j}\)$"):
+        _rebuild(a, star=identity)
+
+
+def test_star_validation_accepts_a_twisted_star(m2):
+    # x -> u x* u^-1 with u = diag(1, -1): e12 -> -e21, e21 -> -e12
+    star = [list(r) for r in m2.star_matrix]
+    star[1][2], star[2][1] = -EXACT.one, -EXACT.one
+    a = _rebuild(m2, star=star)
+    e12, e21 = a.basis_element(1), a.basis_element(2)
+    assert e12.star() == -e21 and (e12 * e21).star() == e21.star() * e12.star()
+
+
+@pytest.mark.parametrize("a", _block_algebras(), ids=["M2", "M1+M2"])
+def test_block_validation_rejects_a_corrupted_cell(a):
+    t1 = a.dim - 4  # e11 of the last (2 x 2) block
+    for cell in (((t1 + 1, EXACT.one),), (), ((t1, EXACT.one), (t1 + 1, EXACT.one)),
+                 ((t1, 5 * EXACT.one), (t1, EXACT.one))):
+        mult = [list(row) for row in a.mult]
+        mult[t1][t1] = cell  # e11 e11 must be e11
+        with pytest.raises(SepidemError, match="do not match the declared block presentation"):
+            _rebuild(a, mult=mult)
+
+
+def test_block_validation_sums_repeated_indices(m2):
+    # b_0 b_0 = 3 e11 - 2 e11 = e11: the table the product kernels read
+    mult = [list(row) for row in m2.mult]
+    mult[0][0] = ((0, 3 * EXACT.one), (0, -2 * EXACT.one))
+    a = _rebuild(m2, mult=mult)
+    assert a.basis_element(0) * a.basis_element(0) == a.basis_element(0)

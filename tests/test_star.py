@@ -7,8 +7,10 @@ from sepidem.errors import (
     CrossBlockLeakage,
     GramNotPositiveDefinite,
     NoBlockPresentation,
-    SolutionSpaceDimensionNotOne,
+    NotInvertible,
+    ReconstructionMismatch,
 )
+from sepidem import linalg
 from sepidem.scalars import rational
 
 
@@ -201,13 +203,90 @@ def test_recover_twist_rejects_sums():
         sd.recover_twist(e)
 
 
-def test_intertwiner_dimension_error(m2):
-    # identity intertwiner system on a direct sum has a 2-dim solution space
-    a = sd.direct_sum([sd.matrix_algebra(1), sd.matrix_algebra(1)])
-    from sepidem.star import _intertwiner
+def _intertwiner(a, image_of_basis):
+    """The generator of the solution line of image(b) x = x b, all basis b."""
+    rows = []
+    for k in range(a.dim):
+        lhs = a.left_mult_matrix(image_of_basis(k).coeffs)
+        rhs = a.right_mult_matrix(a.basis_element(k).coeffs)
+        rows.extend([x - y for x, y in zip(lr, rr)] for lr, rr in zip(lhs, rhs))
+    kern = linalg.nullspace(rows, a.field)
+    assert len(kern) == 1, f"intertwiner solution space has dimension {len(kern)}"
+    return sd.AlgebraElement(a, kern[0])
 
-    with pytest.raises(SolutionSpaceDimensionNotOne):
-        _intertwiner(a, lambda k: a.basis_element(k))
+
+def intertwiner_twist(e):
+    """Reference route to the twist pair: with S0 the transposition,
+    S'(c) = r S0(c) r^-1 and S(b) = S0(s b s^-1), so r and s span the
+    intertwiner lines of S' S0 and S0^-1 S; same gauge as recover_twist."""
+    a, f = e.left, e.field
+    n = a.blocks[0]
+    s, sp = sd.derive_antipode(e), sd.derive_reverse_antipode(e)
+    s0 = sd.transpose_anti_map(a)
+    s0_inv = s0.inverse()
+    r_elt = _intertwiner(a, lambda k: sp(s0.on_basis(k)))
+    s_elt = _intertwiner(a, lambda k: s0_inv(s.on_basis(k)))
+    r_elt = (f.one / next(c for c in r_elt.coeffs if c)) * r_elt
+    t = sd.trace_functional(a)(s_elt * r_elt)
+    e0 = sd.standard_idempotent_over(a)
+    if not f.is_zero(t):
+        s_elt = (f.coerce(n) / t) * s_elt
+    else:
+        trial = e0.lmul_b(r_elt).rmul_b(s_elt)
+        i, j = next((i, j) for i, j, c in e.nonzero_items() if not f.is_zero(c))
+        s_elt = (e.rows[i][j] / trial.rows[i][j]) * s_elt
+    assert e0.lmul_b(r_elt).rmul_b(s_elt) == e
+    return r_elt, s_elt
+
+
+def _nilpotent_pair(n, rng, field=sd.EXACT):
+    """Invertible (r, s) over M_n with tr(s r) = 0."""
+    a = sd.matrix_algebra(n, with_star=True, field=field)
+    tr = sd.trace_functional(a)
+    while True:
+        r, s = sd.random_twisted_pair(n, rng, field=field)
+        s = s - (tr(s * r) / field.coerce(n)) * r.inverse()
+        try:
+            s.inverse()
+        except NotInvertible:
+            continue
+        return r, s
+
+
+def _twist_cases(rng, field=sd.EXACT):
+    for n in (2, 3, 4):
+        yield sd.twisted_idempotent(*sd.random_twisted_pair(n, rng, field=field))
+        yield sd.involutive_twisted_idempotent(sd.random_involutive_diagonal(n, rng, field))
+        yield sd.twisted_idempotent(*_nilpotent_pair(n, rng, field))
+
+
+def test_recover_twist_matches_intertwiner_route(rng, m2):
+    cases = list(_twist_cases(rng))
+    m2_nilpotent = sd.element_from_matrix(m2, [[1, 0], [0, -1]])
+    cases.append(sd.twisted_idempotent(m2.one(), m2_nilpotent))
+    assert sum(sd.verify_idempotent(e).kind == "nilpotent_square_zero" for e in cases) == 4
+    for e in cases:
+        tw = sd.recover_twist(e)
+        r, s = intertwiner_twist(e)
+        assert (repr(tw.r), repr(tw.s)) == (repr(r), repr(s))
+
+
+def test_recover_twist_matches_intertwiner_route_float64(rng):
+    # the two routes round differently: equal within the field's tolerance
+    f = sd.Float64Field(1e-9)
+    for e in _twist_cases(rng, f):
+        tw = sd.recover_twist(e)
+        r, s = intertwiner_twist(e)
+        assert tw.r == r and tw.s == s
+        e0 = sd.standard_idempotent_over(e.left)
+        assert e0.lmul_b(tw.r).rmul_b(tw.s) == e
+
+
+def test_recover_twist_rejects_a_non_twist(e0_2):
+    rows = [list(r) for r in e0_2.rows]
+    rows[0][1] = rational("1/3")
+    with pytest.raises(ReconstructionMismatch):
+        sd.recover_twist(sd.TensorElement(e0_2.left, e0_2.right, rows))
 
 
 # -- block decomposition -------------------------------------------------------------------
@@ -253,3 +332,39 @@ def test_positive_integrals_on_involutive_family(rng):
         data = sd.derive_all(e, "separability_idempotent")
         assert sd.check_positive(data.left_integral)[0]
         assert sd.check_positive(data.right_integral)[0]
+
+
+# -- quadratic forms on integer numerators ----------------------------------------------------
+
+
+def _ref_quadform(g, x, field):
+    acc = field.zero
+    for i, xi in enumerate(x):
+        for j, xj in enumerate(x):
+            acc = acc + field.conj(xi) * g[i][j] * xj
+    return acc
+
+
+@pytest.mark.parametrize("field", [sd.EXACT, sd.FLOAT64], ids=["exact", "float64"])
+def test_quadform_matches_the_scalar_loop(field):
+    from sepidem.constructions import random_rational
+    from sepidem.star import _gram_operand, _quadform
+
+    rng = random.Random(5)
+
+    def scalar(gaussian):
+        re = random_rational(rng) if rng.random() < 0.7 else 0
+        im = random_rational(rng) if gaussian and rng.random() < 0.5 else 0
+        return field.coerce(sd.gauss(re, im) if field.is_exact else complex(re, im))
+
+    for gaussian in (False, True):
+        for dim in (1, 4, 9):
+            g = [[scalar(gaussian) for _ in range(dim)] for _ in range(dim)]
+            gram = _gram_operand(g, field)
+            for _ in range(10):
+                x = [scalar(gaussian) for _ in range(dim)]
+                got, want = _quadform(gram, x, field), _ref_quadform(g, x, field)
+                if field.is_exact:
+                    assert got == want and type(got) is type(want)
+                else:
+                    assert field.eq(got, want)
