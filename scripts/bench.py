@@ -13,9 +13,11 @@ alike.  Standard library only.
 
 Each BENCH_<label>.json holds, per workload, every run's end-to-end
 metrics, failure counts, known-defect outcomes and wall time, the median
-of each metric over the runs, and the traced run's per-layer counts and
-self times; plus the environment block perfbench prints (Python, exact
-scalar type, nproc, git revision).
+of each metric and of the wall time over the runs, and the traced run's
+per-layer counts and self times; plus the environment block perfbench
+prints (Python, exact scalar type, nproc, git revision).  At the end one
+line per workload compares the labels' median wall times, each against
+the first label's.
 """
 
 from __future__ import annotations
@@ -120,13 +122,27 @@ def main(argv=None):
             docs[label]["workloads"][workload] = {
                 "runs": runs[label],
                 "median": medians(runs[label]),
+                "median_wall_s": round(statistics.median(r["wall_s"] for r in runs[label]), 2),
                 "traced": traced_record(TRACE_SEED, result, wall),
             }
     for label, doc in docs.items():
         out = Path(args.out_dir) / f"BENCH_{label}.json"
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {out}", file=sys.stderr)
+    for workload in WORKLOADS:
+        print(wall_line(workload, [(label, docs[label]) for label, _ in targets]))
     return 0
+
+
+def wall_line(workload, docs):
+    """'<workload> median wall_s: <label> <s>, <label> <s> (+x.x %), ...',
+    each percentage against the first label."""
+    walls = [(label, doc["workloads"][workload]["median_wall_s"]) for label, doc in docs]
+    base = walls[0][1]
+    parts = [f"{walls[0][0]} {base:.2f}"]
+    parts += [f"{label} {wall:.2f} ({100 * (wall - base) / base:+.1f} %)"
+              for label, wall in walls[1:]]
+    return f"{workload} median wall_s: " + ", ".join(parts)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 An Algebra stores its structure constants sparsely: ``mult[i][j]`` is the
 tuple of ``(k, coeff)`` pairs of the basis product b_i * b_j.  Construction
 eagerly verifies associativity and the unit laws (a block presentation
-implies them, see Algebra._validate), since every derivation downstream
+implies them, see Algebra._validate; a direct sum of algebras is valid by
+construction, see direct_sum), since every derivation downstream
 assumes them; a two-sided unit makes the product
 non-degenerate (x A = 0 gives x = x 1 = 0).  Multi-matrix algebras
 additionally carry a block presentation: an ordered list of block sizes,
@@ -41,6 +42,18 @@ class Algebra:
                  "_table")
 
     def __init__(self, field, labels, mult, unit, star_matrix=None, blocks=None):
+        self._assign(field, labels, mult, unit, star_matrix, blocks)
+        self._validate()
+
+    @classmethod
+    def _valid_by_construction(cls, field, labels, mult, unit, star_matrix, blocks):
+        """An algebra whose laws its constructor has proved (direct_sum):
+        the same presentation as Algebra(...), without _validate."""
+        a = cls.__new__(cls)
+        a._assign(field, labels, mult, unit, star_matrix, blocks)
+        return a
+
+    def _assign(self, field, labels, mult, unit, star_matrix, blocks):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
@@ -57,7 +70,6 @@ class Algebra:
         )
         self.blocks = tuple(int(n) for n in blocks) if blocks is not None else None
         self._hash = None
-        self._validate()
 
     # -- validation ---------------------------------------------------------
 
@@ -861,7 +873,28 @@ def matrix_algebra(n: int, with_star: bool = False, field=EXACT) -> Algebra:
 
 
 def direct_sum(components) -> Algebra:
-    """Block-diagonal sum: basis is the disjoint union, cross products vanish."""
+    """Block-diagonal sum: basis is the disjoint union, cross products vanish.
+
+    The sum is valid by construction, so Algebra._validate is not run on
+    it.  Each component is an Algebra, whose laws its own construction
+    proved; the sum's table, unit and star are block-diagonal copies of
+    theirs, with indices shifted into range.
+    * Associativity: a basis triple within one component multiplies as
+      in that component; any other triple has a factor pair from two
+      components, whose product is 0, and a product within a component
+      stays in it, so both bracketings are 0.
+    * Unit: 1 = sum of the units 1_a, and 1 b = 1_a b = b = b 1 for b in
+      component a, since 1_a' b = 0 = b 1_a' for a' != a.
+    * Star (when every component has one): it maps each component into
+      itself, so it is involutive and fixes each 1_a, hence 1; and
+      (b_i b_j)* = b_j* b_i* holds within a component and reads 0 = 0
+      across two.
+    * Blocks (when every component has them): the table is the
+      matrix-unit table of the concatenated block list, each block at
+      its shifted offset, and the unit the sum of its diagonal units.
+    Algebra(...) called on the same presentation validates all of this
+    and builds an equal algebra.
+    """
     components = list(components)
     if not components:
         raise SepidemError("direct sum needs at least one component")
@@ -891,7 +924,7 @@ def direct_sum(components) -> Algebra:
     blocks = None
     if all(c.blocks is not None for c in components):
         blocks = [n for c in components for n in c.blocks]
-    return Algebra(field, labels, mult, unit, star, blocks)
+    return Algebra._valid_by_construction(field, labels, mult, unit, star, blocks)
 
 
 def structure_constant_algebra(constants, unit, labels=None, field=EXACT,

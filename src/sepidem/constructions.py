@@ -85,7 +85,9 @@ def involutive_twisted_idempotent(r: AlgebraElement) -> TensorElement:
 
 def direct_sum_idempotent(components) -> TensorElement:
     """Block-diagonal element over the direct sums of the component
-    algebras; all derived data glues block-wise."""
+    algebras; all derived data glues block-wise.  When every component has
+    the same algebra object on both legs, the two sums are one algebra,
+    built once."""
     components = list(components)
     if not components:
         raise IncompatibleComponents("need at least one component")
@@ -96,7 +98,8 @@ def direct_sum_idempotent(components) -> TensorElement:
     except SepidemError as exc:
         raise IncompatibleComponents(str(exc)) from None
     b = direct_sum([c.left for c in components])
-    c_alg = direct_sum([c.right for c in components])
+    same = all(c.left is c.right for c in components)
+    c_alg = b if same else direct_sum([c.right for c in components])
     f = b.field
     rows = [[f.zero] * c_alg.dim for _ in range(b.dim)]
     ob = 0

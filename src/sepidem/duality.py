@@ -9,20 +9,25 @@ are canonical, and representatives can be recovered from covectors through
 the inverse of the faithfulness form.
 
 pairing_table and plancherel_gram build the CLI's dim x dim tables.  They
-compute the dual star (c^)* once per argument, and every dual star
-contracts against rows S(b_k)*, S'(c_l)* computed once per Duality and
-side (_star_matrices), so the 2 dim dual stars (with their involution
-checks) cost O(dim^3) in all.  Every entry still asserts its identities,
-each table of them as matrix products of the representatives' coefficient
-rows: with X and V the rows of the b's and c's, the closed reductions of
-the pairing are
+form the dual star (c^)* of every argument, and its star for the
+involution check, as matrix products in one batch each: the covectors
+contract against rows S(b_k)*, S'(c_l)* computed once per Duality and side
+(_star_matrices), so the 2 dim dual stars cost O(dim^3) in all.  Each
+table's entries <x, E, y> are contracted in one linalg.multilinear pass
+(_contract_kernel), on integer numerators in exact mode; float values run
+the same loop, in the order and association of the entrywise sum, so float
+tables come out bit for bit as the entrywise forms.  Every entry still
+asserts its identities, each table of them as matrix products of the
+representatives' coefficient rows: with X and V the rows of the b's and
+c's, the closed reductions of the pairing are
 
     phi(S'^-1(b) c) = (X S'^-1^T) (V F_C)^T    psi(b S^-1(c)) = (X F_B) (V S^-1^T)^T
 
 and the Plancherel identity's right-hand side phi(c2* c1) is Y (V F_C)^T,
 Y the rows of the c2*, where F_B and F_C are the Fourier matrices of the
 sides (V F_C has the rows phi( . c)).  Every dual star asserts its
-representative law and involutivity.
+representative law and involutivity, the star of each argument before
+that argument's row, in the order of the arguments.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linalg
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _operand
 from .engine import _inverse_map
 from .errors import NoStarStructure, SepidemError
 from .integrals import DerivedData, derive_all
@@ -72,6 +77,7 @@ class Duality:
         }
         self._inverse_fourier = {}
         self._star_memo = {}
+        self._coefficients = _operand(e.rows, self.field)
 
     def _side(self, side) -> "_Side":
         if side not in self._sides:
@@ -137,8 +143,7 @@ class Duality:
         vs = [list(ch.representative.coeffs) for ch in chats]
         red1 = linalg.mat_mul(sb.images(xs, f), linalg.transpose(sc.covectors(vs, f)), f)
         red2 = linalg.mat_mul(sb.covectors(xs, f), linalg.transpose(sc.images(vs, f)), f)
-        table = [[_contract(bh.covector, self.element.rows, ch.covector, f) for ch in chats]
-                 for bh in bhats]
+        table = self._contract([bh.covector for bh in bhats], [ch.covector for ch in chats])
         if not (linalg.mat_eq(table, red1, f) and linalg.mat_eq(table, red2, f)):
             raise SepidemError("pairing reductions disagree; derived maps are inconsistent")
         return table
@@ -162,26 +167,49 @@ class Duality:
 
     # -- dual star --------------------------------------------------------------
 
-    def dual_star(self, w: DualElement, _check_involution: bool = True) -> DualElement:
+    def dual_star(self, w: DualElement) -> DualElement:
         """The involution on the duals; it swaps the two sides.
 
         B side: omega*(c) = conj(omega(S'(c)*)), with representative law
         (b^)* = (S(b*))^.  C side: omega*(b) = conj(omega(S(b)*)), with
         (c^)* = (S'(c*))^.  Involutivity omega** = omega is asserted.
         """
+        (star,) = self._stars([w])
+        self._assert_star(*star)
+        return star[1]
+
+    def _stars(self, ws):
+        """(w, w*, law of w*, w**, law of w**) for each of the duals ws, all
+        on one side, a law being the Fourier covector of the star's
+        representative; each is formed for all ws by one matrix product.
+        Nothing is asserted yet (_assert_star)."""
+        if not ws:
+            return []
         self._require_stars()
-        side = self._side(w.side).other
+        once, once_laws = self._star_batch(ws)
+        back, back_laws = self._star_batch(once)
+        return list(zip(ws, once, once_laws, back, back_laws))
+
+    def _star_batch(self, ws):
+        """The dual stars of ws, all on one side, and the Fourier covectors
+        of their representatives."""
         f = self.field
-        star_cols, into_cols = self._star_matrices(w.side)
-        cov = [f.conj(c) for c in linalg.vec_mat(list(w.covector), star_cols, f)]
-        rep = AlgebraElement(self._sides[side].algebra,
-                             linalg.vec_mat(list(w.representative.star().coeffs), into_cols, f))
-        out = DualElement(side, rep, tuple(cov))
-        if self.fourier(rep, side) != out:
-            raise SepidemError("dual star representative law fails")
-        if _check_involution and self.dual_star(out, _check_involution=False) != w:
+        side = self._side(ws[0].side).other
+        star_cols, into_cols = self._star_matrices(ws[0].side)
+        covs = linalg.mat_mul([list(w.covector) for w in ws], star_cols, f)
+        reps = linalg.mat_mul([list(w.representative.star().coeffs) for w in ws], into_cols, f)
+        algebra = self._sides[side].algebra
+        stars = [DualElement(side, AlgebraElement(algebra, rep), tuple(f.conj(c) for c in cov))
+                 for rep, cov in zip(reps, covs)]
+        return stars, self._sides[side].covectors(reps, f)
+
+    def _assert_star(self, w, once, once_law, back, back_law):
+        """The representative laws of w* and w**, then w** = w."""
+        for out, law in ((once, once_law), (back, back_law)):
+            if not linalg.mat_eq([law], [out.covector], self.field):
+                raise SepidemError("dual star representative law fails")
+        if back != w:
             raise SepidemError("dual star is not involutive")
-        return out
 
     def _star_matrices(self, side):
         """For a dual on side, once per side: the columns S'(c_l)* (B side)
@@ -212,20 +240,26 @@ class Duality:
 
     def _plancherel_rows(self, c2s, c1s):
         """One row per c2 of <c1^, c2^> over c1s; (c2^)* and its laws are
-        asserted once per c2, before the entries of its row."""
+        asserted once per c2, before the entries of its row are."""
         self._require_stars()
         f = self.field
         stars = [list(c2.representative.star().coeffs) for c2 in c2s]
         covs = self._sides["C"].covectors([list(c1.representative.coeffs) for c1 in c1s], f)
         want = linalg.mat_mul(stars, linalg.transpose(covs), f)
-        rows = []
-        for c2, want_row in zip(c2s, want):
-            star2 = self.dual_star(c2)
-            row = [_contract(star2.covector, self.element.rows, c1.covector, f) for c1 in c1s]
+        star2s = self._stars(c2s)
+        rows = self._contract([s[1].covector for s in star2s], [c1.covector for c1 in c1s])
+        for star2, row, want_row in zip(star2s, rows, want):
+            self._assert_star(*star2)
             if not linalg.mat_eq([row], [want_row], f):
                 raise SepidemError("Plancherel identity fails; derived data inconsistent")
-            rows.append(row)
         return rows
+
+    def _contract(self, xs, ys):
+        """[[sum_ij x_i m_ij y_j for y in ys] for x in xs] over the
+        coefficient matrix m of E, in one linalg.multilinear pass."""
+        f = self.field
+        return linalg.multilinear_values(_contract_kernel, len(xs), len(ys), f, _operand(xs, f),
+                                         self._coefficients, _operand(ys, f))
 
     def _require_stars(self):
         if self.B.star_matrix is None or self.C.star_matrix is None:
@@ -262,14 +296,18 @@ def _require_side(duals, side, message):
         raise SepidemError(message)
 
 
-def _contract(x, rows, y, field):
-    """sum_ij x_i m_ij y_j over the coefficient matrix m, zeros skipped."""
-    acc = field.zero
-    for i, row in enumerate(rows):
-        xi = x[i]
-        if not xi:
-            continue
-        for j, m in enumerate(row):
-            if m and y[j]:
-                acc = acc + xi * m * y[j]
-    return acc
+def _contract_kernel(out, xs, m, ys):
+    """out[p][q] += sum_ij x_pi m_ij y_qj, zeros skipped.  The terms
+    (x_i m_ij) y_j are added in the order of i, then j, as the entrywise
+    sum adds them."""
+    m = [dict(row) for row in m]
+    for orow, x in zip(out, xs):
+        for q, y in enumerate(ys):
+            acc = orow[q]
+            for i, xi in x:
+                mi = m[i]
+                for j, yj in y:
+                    mij = mi.get(j)
+                    if mij:
+                        acc += xi * mij * yj
+            orow[q] = acc

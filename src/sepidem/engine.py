@@ -160,6 +160,25 @@ def _derived(e: TensorElement, step: str, fn, *args):
     return value
 
 
+def _remember(e: TensorElement, step: str, value, *args):
+    """Keep value in e's memo as the result of step (and *args), for a
+    quantity proved by another derivation: star.decompose_blocks reads a
+    block's data off the direct sum's."""
+    if e._derivation is None:
+        e._derivation = {}
+    e._derivation[(step, *args)] = (value, None)
+
+
+def _remember_map(e: TensorElement, side: str, t: LinearMap, t_inv: LinearMap):
+    """Keep T and T^-1 (side as in _derive_map) where _map and _inverse_map
+    read them."""
+    if e.field.is_exact:
+        _remember(e, "map", (t, t_inv), side)
+    else:
+        _remember(e, "map", (t, None), side)
+        _remember(e, "inverse", t_inv, side + "_inv")
+
+
 def _detached(exc: Exception) -> Exception:
     copy = type(exc).__new__(type(exc), *exc.args)
     copy.__dict__.update(exc.__dict__)

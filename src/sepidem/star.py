@@ -18,8 +18,8 @@ from .algebra import (
     element_from_matrix,
     matrix_algebra,
 )
-from .engine import (CheckOutcome, SeparabilityCertificate, _derived, _inverse_map, _map,
-                     _pivot, certify, integral_covector)
+from .engine import (CheckOutcome, SeparabilityCertificate, _derived, _inverse_map, _pivot,
+                     _remember, _remember_map, certify, verify_idempotent)
 from .errors import (
     CrossBlockLeakage,
     GramNotPositiveDefinite,
@@ -30,7 +30,7 @@ from .errors import (
     TwistError,
 )
 from .integrals import DerivedData, derive_all
-from .tensor import TensorElement
+from .tensor import TensorElement, is_full
 
 
 def check_self_adjoint(e: TensorElement) -> bool:
@@ -316,9 +316,37 @@ class BlockData:
 
 def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
     """Split a certified element over aligned multi-matrix algebras into
-    its per-block components, certify and twist-recover each, and verify
-    that all globally derived data restricts block-wise.  An element over
-    one block is its own component, so its memo serves the certificate."""
+    its per-block components and recover each block's twist.
+
+    data is e's derived data (derive_all(e) by default).  The coefficient
+    matrix M must vanish across blocks (CrossBlockLeakage), and so must the
+    global S, S', sigma and sigma'.  Each component E_a then gets in its
+    memo the restrictions of the global S, S', S^-1, S'^-1, phi and psi,
+    the fullness and the idempotency verdict; certify(E_a) reads them, and
+    recover_twist's reconstruction of E_a is the only check run per block.
+
+    The restrictions are E_a's own data.  With no entry across blocks,
+    E = sum of the E_a, and products across blocks vanish, so:
+
+    * E^2 = lambda E (the verdict, unless of kind "other") gives
+      E_a^2 = lambda E_a.
+    * M = diag(M_a) invertible (fullness) makes every M_a invertible, so
+      E_a is full.
+    * M phi = 1_B restricts to M_a phi_a = 1_{B_a}, and M^T psi = 1_C
+      likewise.  c_j c_l = 0 across blocks, so F_phi and F_psi are
+      block-diagonal, and so are S = M^T F_psi, S', S^-1 and S'^-1 (engine
+      module docstring), their blocks being the same formulas for E_a.
+    * What _verify_map proved restricts block by block.  Absorption: for
+      b in B_a, (b (x) 1) and (1 (x) S(b)) annihilate every other E_a'.
+      The unit: the S(1_a) lie in the blocks C_a and sum to 1, so
+      S(1_a) = 1_a.  Anti-multiplicativity and S^-1 S = id hold on each
+      block as on the whole.  S' likewise.
+    * z = 1 gives z_a = 1_a, so each block certifies as E does.
+
+    In float mode the same holds up to the comparison tolerance, which
+    the leakage checks apply.  An element over one matrix block is its own
+    component, and its memo already holds all of this.
+    """
     B, C = e.left, e.right
     if B.blocks is None or C.blocks is None:
         raise NoBlockPresentation("both algebras need block presentations")
@@ -334,23 +362,25 @@ def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
             raise CrossBlockLeakage(block_of_b[i], block_of_c[j], (i, j))
     if data is None:
         data = derive_all(e)
+    for name, t, rows, cols in [
+        ("S", data.antipode, bounds_c, bounds_b),
+        ("S'", data.reverse_antipode, bounds_b, bounds_c),
+        ("sigma", data.modular, bounds_c, bounds_c),
+        ("sigma'", data.reverse_modular, bounds_b, bounds_b),
+    ]:
+        _assert_block_diagonal(name, t.rows, rows, cols, f)
     with_star = B.star_matrix is not None and C.star_matrix is not None
     out = []
     for a_idx, n in enumerate(B.blocks):
-        lo_b, hi_b = bounds_b[a_idx]
-        lo_c, hi_c = bounds_c[a_idx]
         comp_alg = matrix_algebra(n, with_star=with_star, field=f)
         if B == comp_alg == C:  # a single block: the element itself, with its memo
             comp = e
         else:
-            sub = [[e.rows[i][j] for j in range(lo_c, hi_c)] for i in range(lo_b, hi_b)]
-            comp = TensorElement(comp_alg, comp_alg, sub)
+            comp = _restriction(e, data, comp_alg, bounds_b[a_idx], bounds_c[a_idx])
         cert = certify(comp)
         if not cert.ok and cert.mode != "nilpotent_variant":
             raise SepidemError(f"block {a_idx} does not certify: {cert.reason}")
-        twist = recover_twist(comp)
-        _check_restriction(data, comp, a_idx, (lo_b, hi_b), (lo_c, hi_c), f)
-        out.append(BlockData(a_idx, n, comp, cert, twist))
+        out.append(BlockData(a_idx, n, comp, cert, recover_twist(comp)))
     return out
 
 
@@ -367,35 +397,37 @@ def _block_lookup(bounds, dim):
     return look
 
 
-def _check_restriction(data, comp, a_idx, rb, rc, f):
-    """Globally derived maps and integrals agree with the per-block ones
-    (read from the block's memo), and vanish off the diagonal blocks."""
-    lo_b, hi_b = rb
-    lo_c, hi_c = rc
-    s, sp = _map(comp, "right"), _map(comp, "left")
-    local_sigma = s.compose(sp)
-    local_sigma_prime = _inverse_map(comp, "right").compose(_inverse_map(comp, "left"))
-    for name, glob, local, rrows, rcols in [
-        ("S", data.antipode.rows, s.rows, rc, rb),
-        ("S'", data.reverse_antipode.rows, sp.rows, rb, rc),
-        ("sigma", data.modular.rows, local_sigma.rows, rc, rc),
-        ("sigma'", data.reverse_modular.rows, local_sigma_prime.rows, rb, rb),
-    ]:
-        (glo, ghi), (clo, chi) = rrows, rcols
-        for i, grow in enumerate(glob):
-            for j, v in enumerate(grow):
-                inside_rows = glo <= i < ghi
-                inside_cols = clo <= j < chi
-                if inside_rows and inside_cols:
-                    if not f.eq(v, local[i - glo][j - clo]):
-                        raise SepidemError(f"global {name} does not restrict to block {a_idx}")
-                elif inside_rows != inside_cols and not f.is_zero(v):
-                    raise SepidemError(f"global {name} leaks across block {a_idx}")
-    phi_local = _derived(comp, "covector", integral_covector, "left")
-    psi_local = _derived(comp, "covector", integral_covector, "right")
-    for j in range(lo_c, hi_c):
-        if not f.eq(data.left_integral.covector[j], phi_local[j - lo_c]):
-            raise SepidemError(f"global left integral does not restrict to block {a_idx}")
-    for i in range(lo_b, hi_b):
-        if not f.eq(data.right_integral.covector[i], psi_local[i - lo_b]):
-            raise SepidemError(f"global right integral does not restrict to block {a_idx}")
+def _assert_block_diagonal(name, rows, row_bounds, col_bounds, f):
+    """A global map's matrix vanishes outside its diagonal blocks."""
+    for a_idx, (lo, hi) in enumerate(row_bounds):
+        for other, (clo, chi) in enumerate(col_bounds):
+            if other != a_idx and any(not f.is_zero(v) for row in rows[lo:hi]
+                                      for v in row[clo:chi]):
+                raise SepidemError(f"global {name} leaks across block {min(a_idx, other)}")
+
+
+def _restriction(e, data, alg, rb, rc):
+    """The component of e on the blocks rb of B and rc of C, over alg, with
+    its memo filled by restriction (proof in decompose_blocks)."""
+    comp = TensorElement._raw(alg, alg, _block(e.rows, rb, rc))
+    for side, t, t_inv, target, source in (
+            ("right", data.antipode, _inverse_map(e, "right"), rc, rb),
+            ("left", data.reverse_antipode, _inverse_map(e, "left"), rb, rc)):
+        _remember_map(comp, side, LinearMap(alg, alg, _block(t.rows, target, source)),
+                      LinearMap(alg, alg, _block(t_inv.rows, source, target)))
+    for side, fun, (lo, hi) in (("left", data.left_integral, rc),
+                                ("right", data.right_integral, rb)):
+        cov = fun.covector[lo:hi]
+        _remember(comp, "covector", cov, side)
+        _remember(comp, "integral", LinearFunctional(alg, cov), side)
+    if _derived(e, "full", is_full):
+        _remember(comp, "full", True)
+        verdict = _derived(e, "verdict", verify_idempotent)
+        if verdict.kind != "other":
+            _remember(comp, "verdict", verdict)
+    return comp
+
+
+def _block(rows, row_range, col_range):
+    (lo, hi), (clo, chi) = row_range, col_range
+    return [row[clo:chi] for row in rows[lo:hi]]

@@ -373,3 +373,31 @@ def test_block_validation_sums_repeated_indices(m2):
     mult[0][0] = ((0, 3 * EXACT.one), (0, -2 * EXACT.one))
     a = _rebuild(m2, mult=mult)
     assert a.basis_element(0) * a.basis_element(0) == a.basis_element(0)
+
+
+# -- direct sums, valid by construction ----------------------------------------------------
+
+
+def _direct_sums():
+    # C^2 on the basis 1, p with p^2 = p: a component without blocks
+    c2 = sd.structure_constant_algebra(
+        [[[1, 0], [0, 1]], [[0, 1], [0, 1]]], unit=[1, 0], labels=["1", "p"])
+    return {
+        "M1+M2+M3, star": [sd.matrix_algebra(n, with_star=True) for n in (1, 2, 3)],
+        "M1+M2+M3": [sd.matrix_algebra(n) for n in (1, 2, 3)],
+        "M2+C2": [sd.matrix_algebra(2, with_star=True), c2],
+    }
+
+
+@pytest.mark.parametrize("name", list(_direct_sums()))
+def test_direct_sum_equals_the_validated_presentation(name, monkeypatch):
+    """direct_sum does not validate its sum, and the sum is the algebra
+    that Algebra(...) builds from the same presentation with every law
+    checked."""
+    components = _direct_sums()[name]
+    monkeypatch.setattr(sd.Algebra, "_validate", lambda self: pytest.fail("validated again"))
+    a = sd.direct_sum(components)
+    monkeypatch.undo()
+    assert a == _rebuild(a)
+    assert (a.blocks is None) == (name == "M2+C2")
+    assert (a.star_matrix is None) == (name != "M1+M2+M3, star")

@@ -98,30 +98,41 @@ def test_cli_dual_derives_once(calls, tmp_path, capsys):
     assert_each_step_once(calls, 1)
 
 
-def test_cli_decompose_derives_once_per_block(calls, tmp_path, capsys):
+def test_cli_decompose_derives_once_per_block(calls, tmp_path, capsys, monkeypatch):
+    """The blocks read their data off the sum's by restriction, and the
+    sum's algebra, the same on both legs, is built once."""
+    from sepidem import algebra, constructions
+
+    sums = []
+    original = algebra.direct_sum
+    counted = lambda components: sums.append(components) or original(components)
+    monkeypatch.setattr(algebra, "direct_sum", counted)
+    monkeypatch.setattr(constructions, "direct_sum", counted)
     doc = {"E": {"kind": "direct_sum", "components": [
         {"kind": "E0", "n": 2},
         {"kind": "involutive_twisted", "r": [["7/5", "0"], ["0", "1/5"]]},
     ]}}
     code, out = _cli(tmp_path, capsys, doc, "decompose")
     assert code == 0 and len(json.loads(out)["derived"]["blocks"]) == 2
-    assert_each_step_once(calls, 3)  # the sum and its two blocks
+    assert_each_step_once(calls, 1)  # the sum alone
+    assert len(sums) == 1
 
 
 def test_cli_dual_stars_each_dual_once(tmp_path, capsys, monkeypatch):
-    """The Plancherel table takes one dual star (and its involution check,
-    a second call) per C-side dual, not one per table entry."""
-    original = sd.Duality.dual_star
+    """The Plancherel table takes one dual star (and its star, for the
+    involution check) per C-side dual, not one per table entry: one batch
+    of the 9 duals, then one of their 9 stars."""
+    original = sd.Duality._star_batch
     calls = []
 
-    def counted(self, w, *args, **kwargs):
-        calls.append(w)
-        return original(self, w, *args, **kwargs)
+    def counted(self, ws):
+        calls.append(len(ws))
+        return original(self, ws)
 
-    monkeypatch.setattr(sd.Duality, "dual_star", counted)
+    monkeypatch.setattr(sd.Duality, "_star_batch", counted)
     code, out = _cli(tmp_path, capsys, {"E": {"kind": "E0", "n": 3}}, "derive", "--what=dual")
     assert code == 0 and "plancherel_gram" in json.loads(out)["derived"]
-    assert len(calls) == 2 * 9
+    assert calls == [9, 9]
 
 
 def test_certify_and_derive_build_each_form_matrix_once(monkeypatch):

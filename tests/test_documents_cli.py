@@ -254,6 +254,30 @@ def test_cli_decompose(tmp_path, capsys):
     assert blocks[0]["r"] == [["1", "0"], ["0", "1"]]
 
 
+def test_cli_decompose_float_matches_exact(tmp_path, capsys):
+    """Float decompose of a (1, 2, 3) direct sum reads its blocks off the
+    float sum as exact mode reads them off the exact one: each block's r
+    and s agree within 1e-9."""
+    path = tmp_path / "sum123.json"
+    path.write_text(json.dumps({"E": {"kind": "direct_sum", "components": [
+        {"kind": "E0", "n": 1},
+        {"kind": "involutive_twisted", "r": [["7/5", "0"], ["0", "1/5"]]},
+        {"kind": "twisted", "r": [["1", "2", "0"], ["0", "1", "3"], ["1", "0", "1"]],
+         "s": [["2", "0", "1"], ["1", "1", "0"], ["0", "-1", "1"]], "normalize": True},
+    ]}}))
+    blocks = {}
+    for mode, fld in (("exact", EXACT), ("float", FLOAT64)):
+        code, out, err = run(["decompose", f"--mode={mode}", str(path)], capsys)
+        assert code == 0, err
+        blocks[mode] = [(b["size"], [[complex(parse_scalar(x, fld, "$")) for x in row]
+                                     for key in ("r", "s") for row in b[key]])
+                        for b in json.loads(out)["derived"]["blocks"]]
+    assert [size for size, _ in blocks["float"]] == [1, 2, 3]
+    for (size, exact), (_, got) in zip(blocks["exact"], blocks["float"]):
+        for row_e, row_f in zip(exact, got):
+            assert all(abs(x - y) <= 1e-9 * max(1, abs(x)) for x, y in zip(row_e, row_f))
+
+
 def test_cli_decompose_single_block(tmp_path, capsys):
     path = tmp_path / "e0.json"
     path.write_text(json.dumps({"E": {"kind": "E0", "n": 2}}))

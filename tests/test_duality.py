@@ -208,6 +208,48 @@ def test_tables_equal_the_entrywise_forms(field):
             [dual.plancherel_form(c1, c2) for c1 in chats] for c2 in chats]
 
 
+def _ref_contract(x, rows, y, field):
+    """sum_ij x_i m_ij y_j, the scalar loop, zeros skipped."""
+    acc = field.zero
+    for i, row in enumerate(rows):
+        for j, m in enumerate(row):
+            if x[i] and m and y[j]:
+                acc = acc + x[i] * m * y[j]
+    return acc
+
+
+def _ref_star_covector(dual, ch):
+    """The covector of (c^)*, b -> conj(c^(S(b)*)), as a scalar loop."""
+    f = dual.field
+    images = [dual.data.antipode.on_basis(k).star().coeffs for k in range(dual.B.dim)]
+    out = []
+    for img in images:
+        acc = f.zero
+        for w, v in zip(ch.covector, img):
+            if w and v:
+                acc = acc + w * v
+        out.append(f.conj(acc))
+    return out
+
+
+@pytest.mark.parametrize("field", [sd.EXACT, sd.FLOAT64], ids=["exact", "float64"])
+def test_tables_equal_the_scalar_loop(field):
+    """The one-pass tables equal the entrywise scalar loop: exactly, with
+    the same scalar types, in exact mode; bit for bit in float mode."""
+    for e in _table_instances(field):
+        dual = sd.Duality.from_element(e, "separability_idempotent")
+        bhats, chats = _hats(dual)
+        want = [[_ref_contract(bh.covector, e.rows, ch.covector, field) for ch in chats]
+                for bh in bhats]
+        stars = [_ref_star_covector(dual, c2) for c2 in chats]
+        gram = [[_ref_contract(st, e.rows, c1.covector, field) for c1 in chats] for st in stars]
+        for got, ref in ((dual.pairing_table(bhats, chats), want),
+                         (dual.plancherel_gram(chats), gram)):
+            assert got == ref
+            assert [[type(x) for x in row] for row in got] == [[type(x) for x in row]
+                                                               for row in ref]
+
+
 def test_tables_check_sides(dual_e0):
     bhats, chats = _hats(dual_e0)
     with pytest.raises(SepidemError, match="pairing takes"):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from sepidem.errors import (
     NoBlockPresentation,
     NotInvertible,
     ReconstructionMismatch,
+    SepidemError,
 )
 from sepidem import linalg
 from sepidem.scalars import rational
@@ -316,6 +318,44 @@ def test_decompose_detects_leakage():
     tampered = sd.TensorElement(e.left, e.right, rows)
     with pytest.raises(CrossBlockLeakage):
         sd.decompose_blocks(tampered)
+
+
+def _with_leak(t, i, j):
+    rows = [list(r) for r in t.rows]
+    rows[i][j] = rational(1)
+    return sd.LinearMap(t.source, t.target, rows)
+
+
+# One off-block entry in each global map decompose_blocks restricts: rows
+# index the target, columns the source.  On M1 + M2, index 0 is the first
+# block and 1..4 the second.
+@pytest.mark.parametrize("name", ["antipode", "reverse_antipode", "modular", "reverse_modular"])
+def test_decompose_detects_leaking_global_maps(name):
+    e = sd.direct_sum_idempotent([sd.standard_idempotent(1), sd.standard_idempotent(2)])
+    data = sd.derive_all(e)
+    sd.decompose_blocks(e, data)
+    tampered = dataclasses.replace(data, **{name: _with_leak(getattr(data, name), 2, 0)})
+    with pytest.raises(SepidemError, match=r"^global \S+ leaks across block 0$"):
+        sd.decompose_blocks(e, tampered)
+
+
+def test_decompose_blocks_read_the_sums_data(rng):
+    """Each block's S, S', phi, psi, sigma and sigma' (which composes S^-1
+    and S'^-1), read off the sum's by restriction, equal what the block
+    derives on its own."""
+    comps = [sd.standard_idempotent(1),
+             sd.involutive_twisted_idempotent(sd.random_involutive_diagonal(2, rng)),
+             sd.twisted_idempotent(*sd.random_twisted_pair(3, rng))]
+    e = sd.direct_sum_idempotent(comps)
+    blocks = sd.decompose_blocks(e)
+    for b, comp in zip(blocks, comps):
+        fresh = sd.TensorElement(comp.left, comp.right, comp.rows)
+        assert b.element == fresh
+        assert b.certificate.antipode == sd.derive_antipode(fresh)
+        assert b.certificate.reverse_antipode == sd.derive_reverse_antipode(fresh)
+        got, want = sd.derive_all(b.element), sd.derive_all(fresh)
+        for name in ("left_integral", "right_integral", "modular", "reverse_modular"):
+            assert getattr(got, name) == getattr(want, name), name
 
 
 def test_decompose_single_block(e0_2):
