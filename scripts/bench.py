@@ -15,9 +15,10 @@ Each BENCH_<label>.json holds, per workload, every run's end-to-end
 metrics, failure counts, known-defect outcomes and wall time, the median
 of each metric and of the wall time over the runs, and the traced run's
 per-layer counts and self times; plus the environment block perfbench
-prints (Python, exact scalar type, nproc, git revision).  At the end one
-line per workload compares the labels' median wall times, each against
-the first label's.
+prints (Python, exact scalar type, nproc, git revision), and the
+checkout's source size, src_lines (``cat src/sepidem/*.py | wc -l``).  At
+the end one line per workload compares the labels' median wall times,
+each against the first label's, and one line their src_lines.
 """
 
 from __future__ import annotations
@@ -88,6 +89,13 @@ def medians(runs):
     return {name: statistics.median(r["metrics"][name] for r in runs) for name in names}
 
 
+def src_lines(checkout):
+    """Newlines in src/sepidem/*.py, what ``cat src/sepidem/*.py | wc -l``
+    prints."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (Path(checkout) / "src" / "sepidem").glob("*.py"))
+
+
 def parse_target(text):
     label, _, checkout = text.partition("=")
     path = Path(checkout).resolve() if checkout else ROOT
@@ -104,8 +112,9 @@ def main(argv=None):
 
     targets = [parse_target(t) for t in args.targets]
     docs = {label: {"label": label, "seconds": SECONDS, "seeds": list(SEEDS),
-                    "trace_seed": TRACE_SEED, "environment": None, "workloads": {}}
-            for label, _ in targets}
+                    "trace_seed": TRACE_SEED, "environment": None, "workloads": {},
+                    "src_lines": src_lines(path)}
+            for label, path in targets}
     for workload in WORKLOADS:
         runs = {label: [] for label, _ in targets}
         for i, seed in enumerate(SEEDS):
@@ -131,6 +140,7 @@ def main(argv=None):
         print(f"wrote {out}", file=sys.stderr)
     for workload in WORKLOADS:
         print(wall_line(workload, [(label, docs[label]) for label, _ in targets]))
+    print(lines_line([(label, docs[label]["src_lines"]) for label, _ in targets]))
     return 0
 
 
@@ -143,6 +153,15 @@ def wall_line(workload, docs):
     parts += [f"{label} {wall:.2f} ({100 * (wall - base) / base:+.1f} %)"
               for label, wall in walls[1:]]
     return f"{workload} median wall_s: " + ", ".join(parts)
+
+
+def lines_line(counts):
+    """'src_lines: <label> <n>, <label> <n> (+k), ...', each difference
+    against the first label."""
+    base = counts[0][1]
+    parts = [f"{counts[0][0]} {base}"]
+    parts += [f"{label} {n} ({n - base:+d})" for label, n in counts[1:]]
+    return "src_lines: " + ", ".join(parts)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,15 @@ the absorption solves, which stay at the conditioning of the input.
 
 Each derived quantity has one value per element and is computed once:
 _derived keeps it in the element's memo, and every layer reads it there.
+The memo has one layout in both modes.  ("map", side) holds T and
+("inverse", side) holds T^-1, for side "right" (T = S) and "left"
+(T = S'); exact mode stores the inverse _verify_map proved with T, float
+mode solves it on first use (_inverse_map).  ("certificate",) holds what
+certify returns and integrals.derive_all's ("derived",) its DerivedData,
+each without the element field, so that the memo never refers to the
+element and the two are freed together.  The certificate is the only
+gate for integrals: integrals._require_integrable reads it.
+
 certify reads two fields off work it has already done:
 
 * determinacy: determinacy_check(E, E) has equal maps, so it reduces to
@@ -76,7 +85,8 @@ witnesses.  When z = 1 the centrality check is skipped, since 1 is central.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 from . import linalg
 from .algebra import AlgebraElement, LinearFunctional, LinearMap, identity_map
@@ -162,21 +172,12 @@ def _derived(e: TensorElement, step: str, fn, *args):
 
 def _remember(e: TensorElement, step: str, value, *args):
     """Keep value in e's memo as the result of step (and *args), for a
-    quantity proved by another derivation: star.decompose_blocks reads a
-    block's data off the direct sum's."""
+    quantity proved by another derivation: the inverse map that
+    _derive_map verified with the map, and the block data that
+    star.decompose_blocks reads off the direct sum's."""
     if e._derivation is None:
         e._derivation = {}
     e._derivation[(step, *args)] = (value, None)
-
-
-def _remember_map(e: TensorElement, side: str, t: LinearMap, t_inv: LinearMap):
-    """Keep T and T^-1 (side as in _derive_map) where _map and _inverse_map
-    read them."""
-    if e.field.is_exact:
-        _remember(e, "map", (t, t_inv), side)
-    else:
-        _remember(e, "map", (t, None), side)
-        _remember(e, "inverse", t_inv, side + "_inv")
 
 
 def _detached(exc: Exception) -> Exception:
@@ -187,44 +188,44 @@ def _detached(exc: Exception) -> Exception:
 
 def _map(e: TensorElement, side: str) -> LinearMap:
     """S (side "right") or S' (side "left"), verified."""
-    return _derived(e, "map", _derive_map, side)[0]
+    return _derived(e, "map", _derive_map, side)
 
 
 def _inverse_map(e: TensorElement, side: str) -> LinearMap:
-    """S^-1 (side "right") or S'^-1 (side "left"): verified with the map in
-    exact mode, solved from the inverse absorption condition in float mode
-    (inverting the derived matrix would square its condition number)."""
-    if e.field.is_exact:
-        return _derived(e, "map", _derive_map, side)[1]
+    """S^-1 (side "right") or S'^-1 (side "left").  Exact mode stores it
+    with the map it verified; float mode solves the inverse absorption
+    condition on first use (inverting the derived matrix would square its
+    condition number)."""
     _map(e, side)  # no inverse of a map that does not derive
-    return _derived(e, "inverse", _absorption_solve, side + "_inv")
+    return _derived(e, "inverse", _solve_inverse, side)
 
 
-def _absorption_solve(e: TensorElement, side: str) -> LinearMap:
+def _absorption_solve(e: TensorElement, side: str, inverse: bool = False) -> LinearMap:
     """Solve an absorption condition for the (inverse) anti-isomorphism;
     float mode only (exact mode reads the maps off the integrals).
 
-    side = "right":     E (b_k (x) 1) = E (1 (x) S(b_k))        -> S: B -> C
-    side = "right_inv": E (1 (x) c_l) = E (S^-1(c_l) (x) 1)     -> S^-1: C -> B
-    side = "left":      (1 (x) c_l) E = (S'(c_l) (x) 1) E       -> S': C -> B
-    side = "left_inv":  (b_k (x) 1) E = (1 (x) S'^-1(b_k)) E    -> S'^-1: B -> C
+    side "right":             E (b_k (x) 1) = E (1 (x) S(b_k))        -> S: B -> C
+    side "right", inverse:    E (1 (x) c_l) = E (S^-1(c_l) (x) 1)     -> S^-1: C -> B
+    side "left":              (1 (x) c_l) E = (S'(c_l) (x) 1) E       -> S': C -> B
+    side "left", inverse:     (b_k (x) 1) E = (1 (x) S'^-1(b_k)) E    -> S'^-1: B -> C
 
-    Fullness makes the relevant slice map injective, so each equation has
-    at most one solution; a non-unique solution space signals a fullness
-    bug, not a tie to break.  The solution of a full-column-rank subsystem
-    is verified against every equation afterwards, which is exactly the
-    absorption condition itself.
+    The inverse condition is the map's with the two legs' products and
+    algebras exchanged.  Fullness makes the relevant slice map injective,
+    so each equation has at most one solution; a non-unique solution space
+    signals a fullness bug, not a tie to break.  The solution of a
+    full-column-rank subsystem is verified against every equation
+    afterwards, which is exactly the absorption condition itself.
     """
     B, C = e.left, e.right
     f = e.field
-    table = {
-        # unknown-side product, known-side product, source, target
-        "right": (e.rmul_c, e.rmul_b, B, C),
-        "right_inv": (e.rmul_b, e.rmul_c, C, B),
-        "left": (e.lmul_b, e.lmul_c, C, B),
-        "left_inv": (e.lmul_c, e.lmul_b, B, C),
-    }
-    mul_unknown, mul_known, source, target = table[side]
+    # unknown-side product, known-side product, source, target
+    if side == "right":
+        mul_unknown, mul_known, source, target = e.rmul_c, e.rmul_b, B, C
+    else:
+        mul_unknown, mul_known, source, target = e.lmul_b, e.lmul_c, C, B
+    if inverse:
+        mul_unknown, mul_known, source, target = mul_known, mul_unknown, target, source
+        side += "_inv"  # the condition's name in the errors below
     a_cols = [mul_unknown(target.basis_element(l)) for l in range(target.dim)]
     a_rows = [
         [a_cols[l].rows[i][j] for l in range(target.dim)]
@@ -256,6 +257,9 @@ def _absorption_solve(e: TensorElement, side: str) -> LinearMap:
     return m
 
 
+_solve_inverse = partial(_absorption_solve, inverse=True)
+
+
 def integral_covector(e: TensorElement, side: str):
     """Coefficients of the left integral phi on C (side "left", M phi = 1_B)
     or of the right integral psi on B (side "right", M^T psi = 1_C).
@@ -278,13 +282,13 @@ def integral_covector(e: TensorElement, side: str):
     return tuple(row[0] for row in sol)
 
 
-def _derive_map(e: TensorElement, side: str):
-    """(T, T^-1) for side "right" (T = S) or "left" (T = S'), verified.
+def _derive_map(e: TensorElement, side: str) -> LinearMap:
+    """T for side "right" (T = S) or "left" (T = S'), verified.
 
-    Exact mode takes T and T^-1 from the formulas of the module docstring
-    and checks them with _verify_map.  Float mode keeps the absorption
-    solve for T, checks anti-multiplicativity, and returns T^-1 = None
-    (see _inverse_map).  Fullness makes T bijective: T(x) = 0 turns
+    Exact mode takes T and T^-1 from the formulas of the module docstring,
+    checks them with _verify_map and keeps T^-1 in the memo for
+    _inverse_map.  Float mode keeps the absorption solve for T and checks
+    anti-multiplicativity.  Fullness makes T bijective: T(x) = 0 turns
     absorption into E (x (x) 1) = 0 (or (1 (x) x) E = 0), so x = 0; a rank
     test on T would only add roundoff, rejecting T beyond cond 1/tol.
     """
@@ -293,7 +297,7 @@ def _derive_map(e: TensorElement, side: str):
         t.assert_anti_multiplicative()
         if not _derived(e, "full", is_full):
             raise MapVerificationError("derived anti-isomorphism is not bijective")
-        return t, None
+        return t
     f = e.field
     m = [list(r) for r in e.rows]
     mt = linalg.transpose(m)
@@ -305,7 +309,8 @@ def _derive_map(e: TensorElement, side: str):
         t = LinearMap(e.right, e.left, linalg.mat_mul(m, linalg.transpose(f_phi), f))
         t_inv = LinearMap(e.left, e.right, linalg.mat_mul(mt, linalg.transpose(f_psi), f))
     _verify_map(e, side, t, t_inv)
-    return t, t_inv
+    _remember(e, "inverse", t_inv, side)
+    return t
 
 
 def _form(e: TensorElement, side: str):
@@ -494,78 +499,23 @@ def splitting_check(e: TensorElement, s: LinearMap) -> CheckOutcome:
 
     gamma(c) = E (1 (x) c) must satisfy m . gamma = id and the right-module
     law gamma(S(b) x c) = gamma(x) (b (x) c), checked exhaustively over
-    basis triples (b, x, c).  Internally the c-loop runs on a sparse
-    difference: gamma(S(b) x c) = gamma(S(b) x)(1 (x) c) by bilinearity, so
-    all c fail or pass together with the pair (b, x), and witnesses are
-    enumerated only when the difference is nonzero.
+    basis triples (b_k, c_m, c_l).  By bilinearity both sides of the law
+    are the pair's gamma(S(b_k) c_m) and gamma(c_m) (b_k (x) 1), each times
+    (1 (x) c_l), so all c_l pass when the pair agrees, and the c_l are
+    searched for witnesses only when it does not.
     """
     B, C = e.left, e.right
-    f = e.field
-    zero = f.zero
     failures = [("retraction", label) for label in _unit_failures(_leg_product(e, s), "left")]
-    e_items = [(i, j, v) for i, j, v in e.nonzero_items() if not f.is_zero(v)]
-    gamma = [_gamma_sparse(e_items, C, m, f) for m in range(C.dim)]
     s_imgs = [s.on_basis(k) for k in range(B.dim)]
     for k in range(B.dim):
         for m in range(C.dim):
-            w = s_imgs[k] * C.basis_element(m)
-            gw = {}
-            for i, j, v in e_items:
-                mj = C.mult[j]
-                for m2, wv in enumerate(w.coeffs):
-                    if not wv:
-                        continue
-                    for l, cc in mj[m2]:
-                        key = (i, l)
-                        gw[key] = gw.get(key, zero) + v * wv * cc
-            gb = {}
-            for (i, l), v in gamma[m].items():
-                for k2, cc in B.mult[i][k]:
-                    key = (k2, l)
-                    gb[key] = gb.get(key, zero) + v * cc
-            if not _sparse_matrix_eq(gw, gb, f):
-                for l in range(C.dim):
-                    if not _sparse_matrix_eq(
-                        _rmul_c_sparse(gw, C, l, f), _rmul_c_sparse(gb, C, l, f), f
-                    ):
-                        failures.append(
-                            ("module-law", (B.labels[k], C.labels[m], C.labels[l]))
-                        )
+            cm = C.basis_element(m)
+            lhs, rhs = e.rmul_c(s_imgs[k] * cm), e.rmul_c(cm).rmul_b(B.basis_element(k))
+            if lhs != rhs:
+                failures += [("module-law", (B.labels[k], C.labels[m], C.labels[l]))
+                             for l in range(C.dim)
+                             if lhs.rmul_c(C.basis_element(l)) != rhs.rmul_c(C.basis_element(l))]
     return CheckOutcome(not failures, failures or None)
-
-
-def _gamma_sparse(e_items, C, m, f):
-    """E (1 (x) c_m) as a sparse (i, l) -> coeff dict."""
-    acc = {}
-    zero = f.zero
-    for i, j, v in e_items:
-        for l, cc in C.mult[j][m]:
-            key = (i, l)
-            acc[key] = acc.get(key, zero) + v * cc
-    return acc
-
-
-def _rmul_c_sparse(d, C, l, f):
-    acc = {}
-    zero = f.zero
-    for (i, j), v in d.items():
-        if not v:
-            continue
-        for l2, cc in C.mult[j][l]:
-            key = (i, l2)
-            acc[key] = acc.get(key, zero) + v * cc
-    return acc
-
-
-def _sparse_matrix_eq(a, b, f):
-    zero = f.zero
-    for k, v in a.items():
-        if not f.eq(v, b.get(k, zero)):
-            return False
-    for k, v in b.items():
-        if k not in a and not f.eq(v, zero):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -675,16 +625,26 @@ def certify(e: TensorElement) -> SeparabilityCertificate:
     """Run the full verification pipeline on one element.
 
     Errors from the sub-derivations are aggregated into the certificate
-    (mode "rejected" with a reason), never raised.  Every derived step is
-    read from the element's memo (_derived); the leg product is computed
-    once for the central element and the counit identities; splitting and
-    determinacy are read off the counit outcome and the idempotency
-    verdict, and in exact mode swap holds because the maps derived (see
-    the module docstring).
+    (mode "rejected" with a reason), never raised.  The certificate is
+    kept in the element's memo (without its element field), so a second
+    call reads it; every derived step is read from the memo too
+    (_derived).  The leg product is computed once for the central element
+    and the counit identities; splitting and determinacy are read off the
+    counit outcome and the idempotency verdict, and in exact mode swap
+    holds because the maps derived (see the module docstring).
     """
+    return replace(_certificate(e), element=e)
+
+
+def _certificate(e: TensorElement) -> SeparabilityCertificate:
+    """e's certificate as kept in its memo, with element None."""
+    return _derived(e, "certificate", _certify)
+
+
+def _certify(e: TensorElement) -> SeparabilityCertificate:
     verdict = _derived(e, "verdict", verify_idempotent)
     full = _derived(e, "full", is_full)
-    base = dict(element=e, full=full, idempotency=verdict)
+    base = dict(element=None, full=full, idempotency=verdict)
     if not full:
         return SeparabilityCertificate(mode="rejected", reason="not full", **base)
     for side, absorbs, name in (("right", "absorption_right", "antipode"),

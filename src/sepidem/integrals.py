@@ -9,12 +9,16 @@ families stay available as independent oracles.  Existence and
 uniqueness are asserted during the solve.  In exact mode the
 anti-isomorphisms and their inverses are read off the same covectors,
 and their verification proves faithfulness and the modular laws (see the
-engine module); float mode checks both.  The integrals are kept in the
-element's memo too (engine._derived), so each is derived once.
+engine module); float mode checks both.  The integrals and derive_all's
+DerivedData are kept in the element's memo too (engine._derived), so each
+is derived once.
 
-Integral derivation refuses elements that do not certify as separability
-idempotents; in particular nilpotent-mode elements (E^2 = 0) are rejected
-by precondition, with the error pointing at the certificate mode.
+The element's certificate is the only gate: derive_all, the two integral
+derivations and Duality.from_element read the certificate certify keeps
+in the memo, and refuse (RefusedForMode, naming the certificate mode and
+its reason) unless its mode is "separability_idempotent", whatever mode
+the caller passes.  Nilpotent variants (E^2 = 0), non-full elements,
+failed absorptions and non-idempotent elements are all refused there.
 """
 
 from __future__ import annotations
@@ -23,12 +27,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import AlgebraElement, LinearFunctional, LinearMap
-from .engine import _derived, _form, _inverse_map, _map, integral_covector, verify_idempotent
+from .engine import _certificate, _derived, _form, _inverse_map, _map, integral_covector
 from .errors import (
     KMSViolation,
-    MapVerificationError,
-    NonUniqueSolution,
-    NoSolution,
     NotATrace,
     NotFaithful,
     NotInvertible,
@@ -36,30 +37,21 @@ from .errors import (
     RelativeCommutationFails,
     SepidemError,
 )
-from .tensor import TensorElement, is_full, slice_left, slice_right
+from .tensor import TensorElement, slice_left, slice_right
 
 
 def _require_integrable(e: TensorElement, mode):
-    if mode is None:
-        kind = _derived(e, "verdict", verify_idempotent).kind
-        if kind != "idempotent":
-            raise RefusedForMode(
-                f"integrals are only defined in separability mode; this element "
-                f"classifies as {kind} (see the certificate mode)"
-            )
-        if not _derived(e, "full", is_full):
-            raise RefusedForMode("integrals need a full element (certificate mode: rejected)")
-        try:
-            _map(e, "right"), _map(e, "left")
-        except (NoSolution, NonUniqueSolution, MapVerificationError) as exc:
-            raise RefusedForMode(
-                f"integrals need both anti-isomorphisms: {exc} (certificate mode: rejected)"
-            ) from None
-    elif mode != "separability_idempotent":
+    """Refuse e unless its certificate (engine._certificate, the record
+    certify returns) has mode "separability_idempotent"; a mode the caller
+    passes must be that mode too."""
+    cert = _certificate(e)
+    if cert.mode != "separability_idempotent":
+        reason = f" ({cert.reason})" if cert.reason else ""
         raise RefusedForMode(
-            f"integrals are only defined in separability mode, not {mode!r} "
-            "(see the certificate mode)"
+            f"integrals need a separability idempotent; certificate mode: {cert.mode}{reason}"
         )
+    if mode not in (None, cert.mode):
+        raise RefusedForMode(f"integrals asked for in mode {mode!r}; certificate mode: {cert.mode}")
 
 
 def _integral(e: TensorElement, side: str) -> LinearFunctional:
@@ -168,12 +160,18 @@ class DerivedData:
 
 
 def derive_all(e: TensorElement, mode=None) -> DerivedData:
-    """S, S', phi, psi, sigma and sigma' of one element, from the element's
-    memo.  Float mode runs every check of modular_automorphisms (with the
-    element and the integrals).  Exact mode composes sigma = S . S' and
+    """S, S', phi, psi, sigma and sigma' of one element, derived once and
+    kept in the element's memo (the fields after the element field).
+    Float mode runs every check of modular_automorphisms (with the element
+    and the integrals).  Exact mode composes sigma = S . S' and
     sigma' = S^-1 . S'^-1 and checks nothing more: the verified maps imply
     what those checks prove (engine module docstring)."""
     _require_integrable(e, mode)
+    return DerivedData(e, *_derived(e, "derived", _derive_data))
+
+
+def _derive_data(e: TensorElement) -> tuple:
+    """The fields of e's DerivedData after its element field."""
     phi, psi = _integral(e, "left"), _integral(e, "right")
     s, sp = _map(e, "right"), _map(e, "left")
     if e.field.is_exact:
@@ -183,7 +181,7 @@ def derive_all(e: TensorElement, mode=None) -> DerivedData:
         sigma, sigma_prime = modular_automorphisms(s, sp, element=e)
         _check_kms(phi, sigma, _form(e, "left"))
         _check_kms(psi, sigma_prime, _form(e, "right"))
-    return DerivedData(e, s, sp, phi, psi, sigma, sigma_prime)
+    return s, sp, phi, psi, sigma, sigma_prime
 
 
 def _trace_side(data: DerivedData, side: str):

@@ -49,6 +49,12 @@ def conj_transpose(a):
 
 
 def mat_mul(a, b, field):
+    return _mat_mul(a, b, field)
+
+
+def _mat_mul(a, b, field):
+    # mat_vec and vec_mat call this, not mat_mul, so that perfbench's
+    # count of mat_mul calls stays a count of matrix products
     if field.is_exact:
         return _exact_mat_mul(a, b, field.zero)
     nb = len(b[0]) if b else 0
@@ -204,33 +210,13 @@ def multilinear_values(kernel, rows, cols, field, *operands):
 
 
 def mat_vec(a, v, field):
-    if field.is_exact and v:
-        return [row[0] for row in _exact_mat_mul(a, [[x] for x in v], field.zero)]
-    zero = field.zero
-    out = [zero] * len(a)
-    for i, arow in enumerate(a):
-        acc = zero
-        for j, x in enumerate(arow):
-            if x and v[j]:
-                acc = acc + x * v[j]
-        out[i] = acc
-    return out
+    """a v, as the one-column product."""
+    return [row[0] for row in _mat_mul(a, [[x] for x in v], field)]
 
 
 def vec_mat(v, a, field):
-    if field.is_exact:
-        return _exact_mat_mul([v], a, field.zero)[0]
-    zero = field.zero
-    n = len(a[0]) if a else 0
-    out = [zero] * n
-    for i, x in enumerate(v):
-        if not x:
-            continue
-        arow = a[i]
-        for j, y in enumerate(arow):
-            if y:
-                out[j] = out[j] + x * y
-    return out
+    """v a, as the one-row product."""
+    return _mat_mul([v], a, field)[0]
 
 
 def mat_eq(a, b, field):
@@ -279,20 +265,28 @@ def row_echelon(a, field, scale=None):
     Pivot rows are reduced against all earlier pivots and normalized to a
     unit pivot entry; rows that reduce to zero are dropped.
     """
+    pivots, pivot_cols, _ = _eliminate(a, field, scale)
+    return pivots, pivot_cols
+
+
+def _eliminate(a, field, scale=None, target_rank=None):
+    """row_echelon's loop: (pivot rows, pivot column indices, indices of
+    the rows they came from), stopping at target_rank pivots."""
     if scale is None:
         scale = matrix_scale(a, field)
-    pivots = []
-    pivot_cols = []
-    for row in a:
+    pivots, pivot_cols, picked = [], [], []
+    for idx, row in enumerate(a):
+        if len(picked) == target_rank:
+            break
         row = _reduce_row(list(row), pivots, pivot_cols, field, scale)
         j = _pick_pivot(row, 0, field, scale)
         if j is None:
             continue
         p = row[j]
-        row = [x / p for x in row]
-        pivots.append(row)
+        pivots.append([x / p for x in row])
         pivot_cols.append(j)
-    return pivots, pivot_cols
+        picked.append(idx)
+    return pivots, pivot_cols, picked
 
 
 def _reduce_row(row, pivots, pivot_cols, field, scale):
@@ -320,21 +314,7 @@ def independent_rows(a, field, target_rank=None, scale=None):
     Scanning stops as soon as target_rank independent rows are found, so
     callers that know the expected rank avoid touching the remaining rows.
     """
-    if scale is None:
-        scale = matrix_scale(a, field)
-    pivots, pivot_cols, picked = [], [], []
-    for idx, row in enumerate(a):
-        row = _reduce_row(list(row), pivots, pivot_cols, field, scale)
-        j = _pick_pivot(row, 0, field, scale)
-        if j is None:
-            continue
-        p = row[j]
-        pivots.append([x / p for x in row])
-        pivot_cols.append(j)
-        picked.append(idx)
-        if target_rank is not None and len(picked) == target_rank:
-            break
-    return picked
+    return _eliminate(a, field, scale, target_rank)[2]
 
 
 def solve_unique(a, b, field):

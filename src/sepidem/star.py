@@ -19,7 +19,7 @@ from .algebra import (
     matrix_algebra,
 )
 from .engine import (CheckOutcome, SeparabilityCertificate, _derived, _inverse_map, _pivot,
-                     _remember, _remember_map, certify, verify_idempotent)
+                     _remember, certify, verify_idempotent)
 from .errors import (
     CrossBlockLeakage,
     GramNotPositiveDefinite,
@@ -345,7 +345,8 @@ def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
 
     In float mode the same holds up to the comparison tolerance, which
     the leakage checks apply.  An element over one matrix block is its own
-    component, and its memo already holds all of this.
+    component, and its memo already holds all of this, its certificate
+    included.
     """
     B, C = e.left, e.right
     if B.blocks is None or C.blocks is None:
@@ -413,8 +414,8 @@ def _restriction(e, data, alg, rb, rc):
     for side, t, t_inv, target, source in (
             ("right", data.antipode, _inverse_map(e, "right"), rc, rb),
             ("left", data.reverse_antipode, _inverse_map(e, "left"), rb, rc)):
-        _remember_map(comp, side, LinearMap(alg, alg, _block(t.rows, target, source)),
-                      LinearMap(alg, alg, _block(t_inv.rows, source, target)))
+        _remember(comp, "map", LinearMap(alg, alg, _block(t.rows, target, source)), side)
+        _remember(comp, "inverse", LinearMap(alg, alg, _block(t_inv.rows, source, target)), side)
     for side, fun, (lo, hi) in (("left", data.left_integral, rc),
                                 ("right", data.right_integral, rb)):
         cov = fun.covector[lo:hi]

@@ -168,6 +168,65 @@ def test_certify_computes_the_leg_product_once(monkeypatch):
         assert calls == [e]
 
 
+def _count_calls(monkeypatch, module, *names):
+    """A Counter of the calls of module's functions names, counted from now."""
+    counter = collections.Counter()
+    for name in names:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _name=name, _original=original:
+                            counter.update([_name]) or _original(*args))
+    return counter
+
+
+def test_second_certify_reads_the_kept_certificate(monkeypatch):
+    from sepidem import engine
+
+    counter = _count_calls(monkeypatch, engine, "verify_idempotent", "_leg_product")
+    r, s = sd.random_twisted_pair(2, random.Random(34))
+    for e in (sd.twisted_idempotent(r, s), sd.twisted_idempotent(r, rational(3) * s),
+              sd.nonfull_idempotent(2), sd.twisted_idempotent(r, s).to_field(FLOAT64)):
+        first = sd.certify(e)
+        counter.clear()
+        second = sd.certify(e)
+        assert second == first and second is not first
+        assert first.element is e and second.element is e
+        assert not counter
+
+
+def test_cli_decompose_single_block_forms_the_leg_product_once(tmp_path, capsys, monkeypatch):
+    """decompose_blocks of a single-block element reads the certificate
+    cmd_decompose just computed."""
+    from sepidem import engine
+
+    counter = _count_calls(monkeypatch, engine, "_leg_product")
+    doc = {"E": {"kind": "involutive_twisted", "r": [["7/5", "0"], ["0", "1/5"]]}}
+    code, out = _cli(tmp_path, capsys, doc, "decompose")
+    assert code == 0 and len(json.loads(out)["derived"]["blocks"]) == 1
+    assert counter == {"_leg_product": 1}
+
+
+def test_certified_element_leaves_no_garbage_cycle(r75):
+    """The memo keeps the certificate and the derived data without their
+    element field, so neither forms a reference cycle with the element."""
+    r, s = sd.random_twisted_pair(2, random.Random(35))
+    gc.collect()
+    gc.disable()
+    try:
+        for make in (lambda: sd.involutive_twisted_idempotent(r75),
+                     lambda: sd.direct_sum_idempotent([sd.standard_idempotent(1),
+                                                       sd.twisted_idempotent(r, s)])):
+            e = make()
+            cert = sd.certify(e)
+            data = sd.derive_all(e, cert.mode)
+            dual = sd.Duality(data)
+            blocks = sd.decompose_blocks(e)
+            assert cert.ok and dual.element is e and blocks
+            del e, cert, data, dual, blocks
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_rejected_element_leaves_no_garbage_cycle(m2):
     rng = random.Random(3)
     rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]

@@ -2,7 +2,8 @@
 integrals, weak KMS, multiplicative sigma and sigma', and the swap
 identity (proofs in the engine module docstring).  Float mode keeps every
 check.  The public checks still pass on the data exact mode derives, and
-integrals are refused for an element whose maps do not derive."""
+every integral entry point refuses an element that certify does not
+certify, whatever mode the caller claims."""
 
 import collections
 import importlib
@@ -150,21 +151,79 @@ def test_public_checks_pass_on_what_exact_mode_derives(label):
         assert data.modular == sigma and data.reverse_modular == sigma_prime
 
 
+# an idempotent, full element of M_2 (x) M_2 that fails right absorption
+ABSORPTION_FAILURE = [["7/12", "5/12", "1/24", "11/24"], ["-1/2", "1/6", "1/4", "-5/12"],
+                      ["-9/16", "-3/16", "-1/3", "-2/3"], ["5/8", "-3/8", "0", "1/3"]]
+
+
+def _absorption_failure():
+    m2 = sd.matrix_algebra(2, with_star=True)
+    return sd.TensorElement(m2, m2, [[rational(x) for x in r] for r in ABSORPTION_FAILURE])
+
+
 def test_integrals_refused_when_the_maps_do_not_derive():
     """An idempotent, full element that fails right absorption: certify
     rejects it, and every integral derivation refuses it by mode."""
-    m2 = sd.matrix_algebra(2, with_star=True)
-    rows = [["7/12", "5/12", "1/24", "11/24"], ["-1/2", "1/6", "1/4", "-5/12"],
-            ["-9/16", "-3/16", "-1/3", "-2/3"], ["5/8", "-3/8", "0", "1/3"]]
-
-    def element():
-        return sd.TensorElement(m2, m2, [[rational(x) for x in r] for r in rows])
-
-    cert = sd.certify(element())
+    cert = sd.certify(_absorption_failure())
     assert cert.mode == "rejected" and cert.full
     assert cert.idempotency.kind == "idempotent"
     assert "absorption condition fails on the right side" in cert.reason
     for derive in (sd.derive_left_integral, sd.derive_right_integral, sd.derive_all):
-        for e in (element(), element().to_field(FLOAT64)):
+        for e in (_absorption_failure(), _absorption_failure().to_field(FLOAT64)):
             with pytest.raises(sd.errors.RefusedForMode, match=r"certificate mode: rejected"):
                 derive(e)
+
+
+# -- the certificate is the only gate for integrals --------------------------------
+
+INTEGRAL_ENTRY_POINTS = (sd.derive_all, sd.derive_left_integral, sd.derive_right_integral,
+                         sd.Duality.from_element)
+
+
+def _refused_elements():
+    """label -> (element, its certificate mode, a fragment of its reason),
+    one element per way certify rejects."""
+    m2 = sd.matrix_algebra(2, with_star=True)
+    r, s = sd.random_twisted_pair(3, random.Random(64))
+    e0_1 = sd.standard_idempotent(1)
+    diag = lambda *d: sd.element_from_matrix(m2, [[d[0], 0], [0, d[1]]])
+    return {
+        "E^2 = 2E twist n=3": (sd.twisted_idempotent(r, rational(2) * s), "rejected",
+                               "not idempotent: E^2 = ("),
+        "not full": (sd.nonfull_idempotent(2), "rejected", "not full"),
+        "right absorption": (_absorption_failure(), "rejected",
+                             "absorption condition fails on the right side"),
+        "other": (sd.direct_sum_idempotent([e0_1, e0_1.scale(rational(2))]), "rejected",
+                  "E^2 is not proportional to E"),
+        "scalar multiple": (sd.twisted_idempotent(m2.one(), diag(2, 1)), "rejected",
+                            "not idempotent: E^2 = ("),
+        "nilpotent": (sd.twisted_idempotent(m2.one(), diag(1, -1)), "nilpotent_variant", ""),
+    }
+
+
+@pytest.mark.parametrize("backend", ["exact", "float64"])
+@pytest.mark.parametrize("label", sorted(_refused_elements()))
+def test_integral_entry_points_refuse_what_certify_rejects(label, backend):
+    """Every integral entry point refuses an element certify does not
+    certify, with or without a claimed separability mode, naming the
+    certificate mode."""
+    e, mode, reason = _refused_elements()[label]
+    if backend == "float64":
+        e = e.to_field(FLOAT64)
+    cert = sd.certify(e)
+    assert cert.mode == mode and reason in (cert.reason or ""), (label, cert.reason)
+    for derive in INTEGRAL_ENTRY_POINTS:
+        for claimed in (None, "separability_idempotent"):
+            with pytest.raises(sd.errors.RefusedForMode) as info:
+                derive(e, claimed)
+            assert f"certificate mode: {mode}" in str(info.value), (label, derive)
+            assert reason in str(info.value), (label, derive)
+
+
+def test_integral_entry_points_refuse_a_mode_other_than_the_certificates():
+    e = sd.standard_idempotent(2)
+    for derive in INTEGRAL_ENTRY_POINTS:
+        with pytest.raises(sd.errors.RefusedForMode,
+                           match="certificate mode: separability_idempotent"):
+            derive(e, "nilpotent_variant")
+        derive(e, "separability_idempotent")

@@ -144,6 +144,55 @@ def test_independent_rows_early_stop():
     assert linalg.independent_rows(a, F, target_rank=2) == [1, 3]
 
 
+def _loop_mat_vec(a, v, field):
+    """The entrywise loop mat_vec ran before it became a one-column mat_mul."""
+    out = []
+    for arow in a:
+        acc = field.zero
+        for j, x in enumerate(arow):
+            if x and v[j]:
+                acc = acc + x * v[j]
+        out.append(acc)
+    return out
+
+
+def _loop_vec_mat(v, a, field):
+    """The entrywise loop vec_mat ran before it became a one-row mat_mul."""
+    out = [field.zero] * len(a[0])
+    for i, x in enumerate(v):
+        if x:
+            for j, y in enumerate(a[i]):
+                if y:
+                    out[j] = out[j] + x * y
+    return out
+
+
+def test_vector_products_equal_the_entrywise_loops():
+    """Float results agree bit for bit (same terms, same order), exact
+    results exactly, on random complex input with zeros."""
+    rng = random.Random(18)
+
+    def entry(field):
+        if rng.random() < 0.3:
+            return field.zero
+        if field.is_exact:
+            return gauss(rational(f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"),
+                         rational(f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"))
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.randint(-8, 8)
+
+    for field in (EXACT, FLOAT64):
+        for m, n in ((1, 1), (3, 5), (6, 2), (7, 7)):
+            a = [[entry(field) for _ in range(n)] for _ in range(m)]
+            v, w = [entry(field) for _ in range(n)], [entry(field) for _ in range(m)]
+            for got, want in ((linalg.mat_vec(a, v, field), _loop_mat_vec(a, v, field)),
+                              (linalg.vec_mat(w, a, field), _loop_vec_mat(w, a, field))):
+                assert len(got) == len(want)
+                for x, y in zip(got, want):
+                    assert x == y and type(x) is type(y)
+                    if not field.is_exact:
+                        assert repr(x) == repr(y)  # signed zeros too
+
+
 @settings(max_examples=30)
 @given(matrices(3))
 def test_gram_psd(a):
