@@ -154,7 +154,7 @@ def cmd_derive(args) -> int:
             f"is {cert.mode!r} (antipodes remain available)"
         )
     else:
-        data = derive_all(e, cert.mode)
+        data = derive_all(e)
         if args.what == "integrals":
             extra = {"phi": vector_literal(data.left_integral.covector, fld),
                      "psi": vector_literal(data.right_integral.covector, fld)}

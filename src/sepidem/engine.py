@@ -34,10 +34,9 @@ The memo has one layout in both modes.  ("map", side) holds T and
 ("inverse", side) holds T^-1, for side "right" (T = S) and "left"
 (T = S'); exact mode stores the inverse _verify_map proved with T, float
 mode solves it on first use (_inverse_map).  ("certificate",) holds what
-certify returns and integrals.derive_all's ("derived",) its DerivedData,
-each without the element field, so that the memo never refers to the
-element and the two are freed together.  The certificate is the only
-gate for integrals: integrals._require_integrable reads it.
+certify returns without its element field, so that the memo never refers
+to the element and the two are freed together.  The certificate is the
+only gate for integrals: integrals._require_integrable reads it.
 
 certify reads two fields off work it has already done:
 

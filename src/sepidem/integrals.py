@@ -9,16 +9,16 @@ families stay available as independent oracles.  Existence and
 uniqueness are asserted during the solve.  In exact mode the
 anti-isomorphisms and their inverses are read off the same covectors,
 and their verification proves faithfulness and the modular laws (see the
-engine module); float mode checks both.  The integrals and derive_all's
-DerivedData are kept in the element's memo too (engine._derived), so each
-is derived once.
+engine module); float mode checks both.  The integrals are kept in the
+element's memo too (engine._derived), so each is derived once.
 
 The element's certificate is the only gate: derive_all, the two integral
 derivations and Duality.from_element read the certificate certify keeps
 in the memo, and refuse (RefusedForMode, naming the certificate mode and
-its reason) unless its mode is "separability_idempotent", whatever mode
-the caller passes.  Nilpotent variants (E^2 = 0), non-full elements,
-failed absorptions and non-idempotent elements are all refused there.
+its reason) unless its mode is "separability_idempotent".  Nilpotent
+variants (E^2 = 0), non-full elements, failed absorptions and
+non-idempotent elements are all refused there.  Their mode argument is
+redundant (the certificate decides) and kept for callers that pass it.
 """
 
 from __future__ import annotations
@@ -40,18 +40,15 @@ from .errors import (
 from .tensor import TensorElement, slice_left, slice_right
 
 
-def _require_integrable(e: TensorElement, mode):
+def _require_integrable(e: TensorElement):
     """Refuse e unless its certificate (engine._certificate, the record
-    certify returns) has mode "separability_idempotent"; a mode the caller
-    passes must be that mode too."""
+    certify returns) has mode "separability_idempotent"."""
     cert = _certificate(e)
     if cert.mode != "separability_idempotent":
         reason = f" ({cert.reason})" if cert.reason else ""
         raise RefusedForMode(
             f"integrals need a separability idempotent; certificate mode: {cert.mode}{reason}"
         )
-    if mode not in (None, cert.mode):
-        raise RefusedForMode(f"integrals asked for in mode {mode!r}; certificate mode: {cert.mode}")
 
 
 def _integral(e: TensorElement, side: str) -> LinearFunctional:
@@ -70,14 +67,16 @@ def _faithful_integral(e: TensorElement, side: str) -> LinearFunctional:
 
 
 def derive_left_integral(e: TensorElement, mode=None) -> LinearFunctional:
-    """The unique phi on C with (id (x) phi) E = 1; faithful (asserted)."""
-    _require_integrable(e, mode)
+    """The unique phi on C with (id (x) phi) E = 1; faithful (asserted).
+    mode is redundant (module docstring)."""
+    _require_integrable(e)
     return _integral(e, "left")
 
 
 def derive_right_integral(e: TensorElement, mode=None) -> LinearFunctional:
-    """The unique psi on B with (psi (x) id) E = 1; faithful (asserted)."""
-    _require_integrable(e, mode)
+    """The unique psi on B with (psi (x) id) E = 1; faithful (asserted).
+    mode is redundant (module docstring)."""
+    _require_integrable(e)
     return _integral(e, "right")
 
 
@@ -160,18 +159,13 @@ class DerivedData:
 
 
 def derive_all(e: TensorElement, mode=None) -> DerivedData:
-    """S, S', phi, psi, sigma and sigma' of one element, derived once and
-    kept in the element's memo (the fields after the element field).
-    Float mode runs every check of modular_automorphisms (with the element
-    and the integrals).  Exact mode composes sigma = S . S' and
+    """S, S', phi, psi, sigma and sigma' of one element, from the element's
+    memo.  Float mode runs every check of modular_automorphisms (with the
+    element and the integrals).  Exact mode composes sigma = S . S' and
     sigma' = S^-1 . S'^-1 and checks nothing more: the verified maps imply
-    what those checks prove (engine module docstring)."""
-    _require_integrable(e, mode)
-    return DerivedData(e, *_derived(e, "derived", _derive_data))
-
-
-def _derive_data(e: TensorElement) -> tuple:
-    """The fields of e's DerivedData after its element field."""
+    what those checks prove (engine module docstring).  mode is redundant
+    (module docstring)."""
+    _require_integrable(e)
     phi, psi = _integral(e, "left"), _integral(e, "right")
     s, sp = _map(e, "right"), _map(e, "left")
     if e.field.is_exact:
@@ -181,7 +175,7 @@ def _derive_data(e: TensorElement) -> tuple:
         sigma, sigma_prime = modular_automorphisms(s, sp, element=e)
         _check_kms(phi, sigma, _form(e, "left"))
         _check_kms(psi, sigma_prime, _form(e, "right"))
-    return s, sp, phi, psi, sigma, sigma_prime
+    return DerivedData(e, s, sp, phi, psi, sigma, sigma_prime)
 
 
 def _trace_side(data: DerivedData, side: str):

@@ -49,12 +49,6 @@ def conj_transpose(a):
 
 
 def mat_mul(a, b, field):
-    return _mat_mul(a, b, field)
-
-
-def _mat_mul(a, b, field):
-    # mat_vec and vec_mat call this, not mat_mul, so that perfbench's
-    # count of mat_mul calls stays a count of matrix products
     if field.is_exact:
         return _exact_mat_mul(a, b, field.zero)
     nb = len(b[0]) if b else 0
@@ -211,12 +205,12 @@ def multilinear_values(kernel, rows, cols, field, *operands):
 
 def mat_vec(a, v, field):
     """a v, as the one-column product."""
-    return [row[0] for row in _mat_mul(a, [[x] for x in v], field)]
+    return [row[0] for row in mat_mul(a, [[x] for x in v], field)]
 
 
 def vec_mat(v, a, field):
     """v a, as the one-row product."""
-    return _mat_mul([v], a, field)[0]
+    return mat_mul([v], a, field)[0]
 
 
 def mat_eq(a, b, field):

@@ -206,8 +206,8 @@ def test_cli_decompose_single_block_forms_the_leg_product_once(tmp_path, capsys,
 
 
 def test_certified_element_leaves_no_garbage_cycle(r75):
-    """The memo keeps the certificate and the derived data without their
-    element field, so neither forms a reference cycle with the element."""
+    """The memo keeps the certificate without its element field, so it
+    forms no reference cycle with the element."""
     r, s = sd.random_twisted_pair(2, random.Random(35))
     gc.collect()
     gc.disable()

@@ -218,12 +218,3 @@ def test_integral_entry_points_refuse_what_certify_rejects(label, backend):
                 derive(e, claimed)
             assert f"certificate mode: {mode}" in str(info.value), (label, derive)
             assert reason in str(info.value), (label, derive)
-
-
-def test_integral_entry_points_refuse_a_mode_other_than_the_certificates():
-    e = sd.standard_idempotent(2)
-    for derive in INTEGRAL_ENTRY_POINTS:
-        with pytest.raises(sd.errors.RefusedForMode,
-                           match="certificate mode: separability_idempotent"):
-            derive(e, "nilpotent_variant")
-        derive(e, "separability_idempotent")
