@@ -205,6 +205,8 @@ def multilinear_values(kernel, rows, cols, field, *operands):
 
 def mat_vec(a, v, field):
     """a v, as the one-column product."""
+    if not v:  # a has empty rows: the product has no column to read
+        return [field.zero] * len(a)
     return [row[0] for row in mat_mul(a, [[x] for x in v], field)]
 
 

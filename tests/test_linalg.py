@@ -158,7 +158,7 @@ def _loop_mat_vec(a, v, field):
 
 def _loop_vec_mat(v, a, field):
     """The entrywise loop vec_mat ran before it became a one-row mat_mul."""
-    out = [field.zero] * len(a[0])
+    out = [field.zero] * (len(a[0]) if a else 0)
     for i, x in enumerate(v):
         if x:
             for j, y in enumerate(a[i]):
@@ -169,7 +169,8 @@ def _loop_vec_mat(v, a, field):
 
 def test_vector_products_equal_the_entrywise_loops():
     """Float results agree bit for bit (same terms, same order), exact
-    results exactly, on random complex input with zeros."""
+    results exactly, on random complex input with zeros and on empty
+    shapes."""
     rng = random.Random(18)
 
     def entry(field):
@@ -181,7 +182,7 @@ def test_vector_products_equal_the_entrywise_loops():
         return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.randint(-8, 8)
 
     for field in (EXACT, FLOAT64):
-        for m, n in ((1, 1), (3, 5), (6, 2), (7, 7)):
+        for m, n in ((1, 1), (3, 5), (6, 2), (7, 7), (3, 0), (0, 3)):
             a = [[entry(field) for _ in range(n)] for _ in range(m)]
             v, w = [entry(field) for _ in range(n)], [entry(field) for _ in range(m)]
             for got, want in ((linalg.mat_vec(a, v, field), _loop_mat_vec(a, v, field)),
