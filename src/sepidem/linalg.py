@@ -204,10 +204,20 @@ def multilinear_values(kernel, rows, cols, field, *operands):
 
 
 def mat_vec(a, v, field):
-    """a v, as the one-column product."""
-    if not v:  # a has empty rows: the product has no column to read
-        return [field.zero] * len(a)
-    return [row[0] for row in mat_mul(a, [[x] for x in v], field)]
+    """a v: the one-column product in exact mode.  The float loop stays,
+    since the one-column product's inner loop over a single entry makes it
+    2-3 times slower there."""
+    if field.is_exact and v:
+        return [row[0] for row in _exact_mat_mul(a, [[x] for x in v], field.zero)]
+    zero = field.zero
+    out = [zero] * len(a)
+    for i, arow in enumerate(a):
+        acc = zero
+        for j, x in enumerate(arow):
+            if x and v[j]:
+                acc = acc + x * v[j]
+        out[i] = acc
+    return out
 
 
 def vec_mat(v, a, field):
@@ -272,8 +282,6 @@ def _eliminate(a, field, scale=None, target_rank=None):
         scale = matrix_scale(a, field)
     pivots, pivot_cols, picked = [], [], []
     for idx, row in enumerate(a):
-        if len(picked) == target_rank:
-            break
         row = _reduce_row(list(row), pivots, pivot_cols, field, scale)
         j = _pick_pivot(row, 0, field, scale)
         if j is None:
@@ -282,6 +290,8 @@ def _eliminate(a, field, scale=None, target_rank=None):
         pivots.append([x / p for x in row])
         pivot_cols.append(j)
         picked.append(idx)
+        if len(picked) == target_rank:
+            break
     return pivots, pivot_cols, picked
 
 

@@ -145,7 +145,8 @@ def test_independent_rows_early_stop():
 
 
 def _loop_mat_vec(a, v, field):
-    """The entrywise loop mat_vec ran before it became a one-column mat_mul."""
+    """The entrywise loop, the reference for mat_vec's exact one-column
+    product."""
     out = []
     for arow in a:
         acc = field.zero
