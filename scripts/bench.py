@@ -18,7 +18,9 @@ per-layer counts and self times; plus the environment block perfbench
 prints (Python, exact scalar type, nproc, git revision), and the
 checkout's source size, src_lines (``cat src/sepidem/*.py | wc -l``).  At
 the end one line per workload compares the labels' median wall times,
-each against the first label's, and one line their src_lines.
+each against the first label's, and one line their src_lines.  Then one
+line per workload and end-to-end metric of BENCHMARK.json gives the
+acceptance arithmetic against the first label (acceptance_lines).
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("twist-exact", "dense-basis", "float64", "cli-documents")
 SEEDS = (71, 72, 73, 74, 75)
 TRACE_SEED = 901
-SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SECONDS = BENCHMARK["run_seconds"]
 
 
 def perfbench(checkout, workload, seed, trace):
@@ -141,6 +144,9 @@ def main(argv=None):
     for workload in WORKLOADS:
         print(wall_line(workload, [(label, docs[label]) for label, _ in targets]))
     print(lines_line([(label, docs[label]["src_lines"]) for label, _ in targets]))
+    for line in acceptance_lines([(label, docs[label]) for label, _ in targets],
+                                 BENCHMARK["end_to_end"]):
+        print(line)
     return 0
 
 
@@ -153,6 +159,56 @@ def wall_line(workload, docs):
     parts += [f"{label} {wall:.2f} ({100 * (wall - base) / base:+.1f} %)"
               for label, wall in walls[1:]]
     return f"{workload} median wall_s: " + ", ".join(parts)
+
+
+def acceptance_lines(docs, end_to_end):
+    """One line per workload and end-to-end metric, each label against the
+    first label (the base):
+
+        <workload> <metric>: <base> <median> [<q1>, <q3>]; <label> <median>
+        [<q1>, <q3>] (+x.x %), better on k of n seeds, gap <g> > base IQR <i>:
+        yes|no, worse: no | within bound <b>: yes|no
+
+    Quartiles are statistics.quantiles' (exclusive method) over the runs.
+    A seed counts as better when the label's run on it beats the base's in
+    the metric's `better` direction.  The gap is the absolute difference of
+    the medians.  A worse median is within bound when its change relative
+    to the base's median is at most the metric's `bound`."""
+    out = []
+    base_label, base = docs[0]
+    for workload in base["workloads"]:
+        for metric in end_to_end:
+            name, higher = metric["name"], metric["better"] == "higher"
+            series = [(label, {r["seed"]: r["metrics"][name]
+                               for r in doc["workloads"][workload]["runs"]})
+                      for label, doc in docs]
+            base_vals = series[0][1]
+            b_med, (b_q1, b_q3) = _median_quartiles(base_vals.values())
+            parts = [f"{base_label} {b_med:.4g} [{b_q1:.4g}, {b_q3:.4g}]"]
+            for label, vals in series[1:]:
+                med, (q1, q3) = _median_quartiles(vals.values())
+                seeds = [seed for seed in vals if seed in base_vals]
+                wins = sum((vals[s] > base_vals[s]) if higher else (vals[s] < base_vals[s])
+                           for s in seeds)
+                change = (med - b_med) / b_med if b_med else 0.0
+                worse = -change if higher else change
+                gap, iqr = abs(med - b_med), b_q3 - b_q1
+                verdict = (f"within bound {metric['bound']}: "
+                           f"{'yes' if worse <= metric['bound'] else 'no'}"
+                           if worse > 0 else "no")
+                parts.append(f"{label} {med:.4g} [{q1:.4g}, {q3:.4g}] ({100 * change:+.1f} %), "
+                             f"better on {wins} of {len(seeds)} seeds, gap {gap:.4g} > "
+                             f"{base_label} IQR {iqr:.4g}: {'yes' if gap > iqr else 'no'}, "
+                             f"worse: {verdict}")
+            out.append(f"{workload} {name}: " + "; ".join(parts))
+    return out
+
+
+def _median_quartiles(values):
+    """(median, (first quartile, third quartile)) of two or more values."""
+    values = list(values)
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return statistics.median(values), (q1, q3)
 
 
 def lines_line(counts):

@@ -403,7 +403,7 @@ def _integer_table(mult, field):
 
 def _operand(rows, field):
     """Dense rows as a linalg.multilinear operand."""
-    return linalg.split([[(j, x) for j, x in enumerate(row) if x] for row in rows], field)
+    return linalg.split([linalg.nonzero_items(row, field.zero) for row in rows], field)
 
 
 # The kernels.  A vector output is the single row out[0].
@@ -739,6 +739,8 @@ class LinearMap:
             tg = self(g).coeffs
             mult = tgt.right_mult_matrix(tg) if anti else tgt.left_mult_matrix(tg)
             rhs = linalg.mat_mul(mult, rows, f)
+            if f.is_exact:  # same is ==: compare whole rows
+                return lhs == rhs
             return all(same(x, y) for ra, rb in zip(lhs, rhs) for x, y in zip(ra, rb))
 
         if unital and all(holds_on(g) for g in src.generating_set()):
@@ -801,10 +803,7 @@ class LinearMap:
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             return False
-        f = self.target.field
-        return all(
-            f.eq(a, b) for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        return linalg.mat_eq(self.rows, other.rows, self.target.field)
 
     __hash__ = None
 

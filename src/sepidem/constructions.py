@@ -16,11 +16,12 @@ from .algebra import (
     LinearFunctional,
     LinearMap,
     direct_sum,
+    element_as_matrix,
     matrix_algebra,
     trace_functional,
     transpose_anti_map,
 )
-from .errors import IncompatibleComponents, NormalizationViolated, SepidemError
+from .errors import IncompatibleComponents, NormalizationViolated, NotInvertible, SepidemError
 from .scalars import EXACT, common_field, rational
 from .tensor import TensorElement
 
@@ -51,12 +52,16 @@ def twisted_idempotent(r: AlgebraElement, s: AlgebraElement,
     The square of the result is (tr(sr)/n) times the result, so it is an
     idempotent iff tr(sr) = n, and squares to zero iff tr(sr) = 0.  With
     normalize=True, s is rescaled by n/tr(sr) whenever tr(sr) != 0.
+    Invertibility is a rank test on the n x n matrices of r and s, as in
+    star.recover_twist, not a solve in the n^2-dimensional algebra.
     """
     a = r.algebra
     if s.algebra != a:
         raise IncompatibleComponents("r and s must live in the same algebra")
-    r.inverse()
-    s.inverse()
+    for x in (r, s):
+        m = element_as_matrix(x)
+        if linalg.rank(m, a.field) < len(m):
+            raise NotInvertible(x)
     if normalize:
         t = trace_functional(a)(s * r)
         if t:
@@ -197,8 +202,6 @@ def random_element(a: Algebra, rng, bound: int = 9) -> AlgebraElement:
 
 
 def random_invertible(a: Algebra, rng, bound: int = 9) -> AlgebraElement:
-    from .errors import NotInvertible
-
     while True:
         x = random_element(a, rng, bound)
         try:

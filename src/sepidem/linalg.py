@@ -5,13 +5,29 @@ exact field eliminates with literal zero tests, the float64 field uses
 partial pivoting and a relative threshold (tol * max-entry of the input).
 Shapes here are small (a few hundred rows at most), so everything is
 straightforward Gaussian elimination with zero-skipping.
+
+Exact kernels do Python-level work only on nonzero entries.  The standard
+matrix-unit elements have dim nonzeros out of dim^2, and every call of a
+Fraction method costs far more than the loop step around it.  So a zero
+test (nonzero_items, _pick_pivot, the reductions) compares an entry with
+the field's canonical zero by identity first, which calls nothing, and
+only then by truthiness.  Identity alone would be wrong: Fraction(0)
+objects made by arithmetic, by documents or by coerce are zero without
+being field.zero.  A pivot row is normalised by dividing its nonzeros
+only (zeros become field.zero, the pivot field.one), rows are updated
+along a pivot row's nonzero items, and a product converts only the
+entries of a row that came out nonzero.  Exact equality (mat_eq) compares
+whole rows as sequences, whose comparison tests identity before it calls
+__eq__.  Float branches keep their loops, so their results are bit for
+bit what they were.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import lcm
+from operator import eq, or_
 
 from .errors import SepidemError
 from .scalars import GaussianRational, conj, gauss
@@ -48,6 +64,12 @@ def conj_transpose(a):
     return [[conj(x) for x in col] for col in zip(*a)]
 
 
+def nonzero_items(row, zero):
+    """(j, x) for the nonzero entries x of row; zero is the field's
+    canonical zero, tested by identity before truthiness."""
+    return [(j, x) for j, x in enumerate(row) if x is not zero and x]
+
+
 def mat_mul(a, b, field):
     if field.is_exact:
         return _exact_mat_mul(a, b, field.zero)
@@ -74,12 +96,13 @@ def _exact_mat_mul(a, b, zero):
     over one common denominator D; Gaussian entries split into real and
     imaginary integer parts.  The integer products skip zeros exactly as the
     float loop does, and each nonzero entry of the result becomes one
-    rational numerator / (d_i D).
+    rational numerator / (d_i D); the other entries stay zero, found at C
+    speed.
     """
     nb = len(b[0]) if b else 0
-    a_items = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    a_items = [nonzero_items(row, zero) for row in a]
     used = {j for items in a_items for j, _ in items}
-    b_items = {j: [(l, y) for l, y in enumerate(b[j]) if y] for j in used}
+    b_items = {j: nonzero_items(b[j], zero) for j in used}
     big_d = _common_denominator(y for j in used for _, y in b_items[j])
     b_parts = {j: _integer_parts(b_items[j], big_d) for j in used}
     b_complex = any(parts[1] for parts in b_parts.values())
@@ -98,12 +121,9 @@ def _exact_mat_mul(a, b, zero):
             _int_row_product(im, a_re, b_parts, 1)
             _int_row_product(re, [(j, -x) for j, x in a_im], b_parts, 1)
         den = d * big_d
-        for l in range(nb):
+        for l in compress(range(nb), map(or_, re, im) if a_im or b_complex else re):
             x, y = re[l], im[l]
-            if y:
-                row[l] = gauss(Fraction(x, den), Fraction(y, den))
-            elif x:
-                row[l] = Fraction(x, den)
+            row[l] = gauss(Fraction(x, den), Fraction(y, den)) if y else Fraction(x, den)
     return out
 
 
@@ -226,7 +246,16 @@ def vec_mat(v, a, field):
 
 
 def mat_eq(a, b, field):
+    """a = b entry by entry; False when the shapes differ.  Exact rows
+    compare as sequences (field.eq is ==), calling no __eq__ on an entry
+    identical to its partner."""
+    if len(a) != len(b):
+        return False
+    if field.is_exact:
+        return all(map(eq, map(tuple, a), map(tuple, b)))
     for arow, brow in zip(a, b):
+        if len(arow) != len(brow):
+            return False
         for x, y in zip(arow, brow):
             if not field.eq(x, y):
                 return False
@@ -251,8 +280,10 @@ def _pick_pivot(row, start, field, scale, end=None):
     if end is None:
         end = len(row)
     if field.is_exact:
+        zero = field.zero
         for j in range(start, end):
-            if row[j]:
+            x = row[j]
+            if x is not zero and x:
                 return j
         return None
     best, best_size = None, 0.0
@@ -280,31 +311,48 @@ def _eliminate(a, field, scale=None, target_rank=None):
     the rows they came from), stopping at target_rank pivots."""
     if scale is None:
         scale = matrix_scale(a, field)
-    pivots, pivot_cols, picked = [], [], []
+    pivots, pivot_cols, picked, reducers = [], [], [], []
     for idx, row in enumerate(a):
-        row = _reduce_row(list(row), pivots, pivot_cols, field, scale)
+        row = _reduce_row(list(row), reducers, field, scale)
         j = _pick_pivot(row, 0, field, scale)
         if j is None:
             continue
-        p = row[j]
-        pivots.append([x / p for x in row])
+        if field.is_exact:
+            prow, items = _unit_pivot_row(row, j, field)
+        else:
+            p = row[j]
+            prow = [x / p for x in row]
+            items = nonzero_items(prow, field.zero)
+        pivots.append(prow)
         pivot_cols.append(j)
+        reducers.append((j, items))
         picked.append(idx)
         if len(picked) == target_rank:
             break
     return pivots, pivot_cols, picked
 
 
-def _reduce_row(row, pivots, pivot_cols, field, scale):
-    for prow, pc in zip(pivots, pivot_cols):
+def _unit_pivot_row(row, j, field):
+    """Exact row / row[j] and its nonzero items: the nonzeros are divided,
+    the pivot becomes field.one and the other entries field.zero."""
+    p, zero = row[j], field.zero
+    items = [(t, x / p if t != j else field.one) for t, x in nonzero_items(row, zero)]
+    prow = [zero] * len(row)
+    for t, y in items:
+        prow[t] = y
+    return prow, items
+
+
+def _reduce_row(row, reducers, field, scale):
+    """row minus row[pc] times each pivot row, given as (pc, its nonzero
+    items); a negligible row[pc] is set to zero instead (float mode)."""
+    zero = field.zero
+    for pc, items in reducers:
         f = row[pc]
-        if not f or field.negligible(f, scale):
-            row[pc] = field.zero
-            continue
-        for j, y in enumerate(prow):
-            if y:
+        if f is not zero and f and (field.is_exact or not field.negligible(f, scale)):
+            for j, y in items:
                 row[j] = row[j] - f * y
-        row[pc] = field.zero
+        row[pc] = zero
     return row
 
 
@@ -334,29 +382,32 @@ def solve_unique(a, b, field):
     m = len(a)
     n = len(a[0]) if a else 0
     scale = max(matrix_scale(a, field), matrix_scale(b, field)) if not field.is_exact else 1
+    zero = field.zero
     pivots, pivot_cols = [], []
     for idx in range(m):
         row = list(a[idx]) + list(b[idx])
         for prow, pc in zip(pivots, pivot_cols):
             f = row[pc]
-            if not f:
+            if f is zero or not f:
                 continue
-            for j, y in enumerate(prow):
-                if y:
-                    row[j] = row[j] - f * y
-            row[pc] = field.zero
+            for j, y in nonzero_items(prow, zero):
+                row[j] = row[j] - f * y
+            row[pc] = zero
         j = _pick_pivot(row, 0, field, scale, end=n)
         if j is not None:
-            p = row[j]
-            row = [x / p for x in row]
-            row[j] = field.one
+            if field.is_exact:
+                row, items = _unit_pivot_row(row, j, field)
+            else:
+                p = row[j]
+                row = [x / p for x in row]
+                row[j] = field.one
+                items = nonzero_items(row, zero)
             for prow in pivots:
                 f = prow[j]
-                if f:
-                    for t, y in enumerate(row):
-                        if y:
-                            prow[t] = prow[t] - f * y
-                    prow[j] = field.zero
+                if f is not zero and f:
+                    for t, y in items:
+                        prow[t] = prow[t] - f * y
+                    prow[j] = zero
             pivots.append(row)
             pivot_cols.append(j)
         elif _pick_pivot(row, n, field, scale) is not None:
@@ -380,13 +431,21 @@ def reduced_echelon(a, field):
     by comparing these rows.
     """
     pivots, pivot_cols = row_echelon(a, field)
+    zero = field.zero
     for t in range(len(pivots) - 1, -1, -1):
         prow, pc = pivots[t], pivot_cols[t]
+        items = nonzero_items(prow, zero) if field.is_exact else None
         for s in range(t):
             f = pivots[s][pc]
-            if f:
+            if f is zero or not f:
+                continue
+            if items is None:  # float keeps its dense update, signed zeros included
                 pivots[s] = [x - f * y for x, y in zip(pivots[s], prow)]
-                pivots[s][pc] = field.zero
+            else:
+                srow = pivots[s]
+                for j, y in items:
+                    srow[j] = srow[j] - f * y
+            pivots[s][pc] = zero
     return pivots, pivot_cols
 
 
@@ -436,6 +495,7 @@ def hermitian_psd(g, field):
         if eig.min() < -thresh:
             return False, 0
         return True, int((eig > thresh).sum())
+    zero = field.zero
     work = {i: {j: g[i][j] for j in range(n)} for i in range(n)}
     active = set(range(n))
     rnk = 0
@@ -445,7 +505,7 @@ def hermitian_psd(g, field):
             d = work[i][i]
             if not field.is_real(d):
                 return False, rnk
-            if d:
+            if d is not zero and d:
                 if field.real(d) < 0:
                     return False, rnk
                 if pivot is None:
@@ -455,7 +515,8 @@ def hermitian_psd(g, field):
             for i in active:
                 wi = work[i]
                 for j in active:
-                    if wi[j]:
+                    x = wi[j]
+                    if x is not zero and x:
                         return False, rnk
             return True, rnk
         d = work[pivot][pivot]
@@ -465,10 +526,10 @@ def hermitian_psd(g, field):
         for i in others:
             ci = col[i]
             wi = work[i]
-            if ci:
+            if ci is not zero and ci:
                 for j in others:
                     rj = row[j]
-                    if rj:
+                    if rj is not zero and rj:
                         wi[j] = wi[j] - ci * rj / d
         active.remove(pivot)
         rnk += 1

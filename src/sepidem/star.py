@@ -8,7 +8,7 @@ through eigenvalues (those only appear in float mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import linalg
 from .algebra import (
@@ -18,8 +18,8 @@ from .algebra import (
     element_from_matrix,
     matrix_algebra,
 )
-from .engine import (CheckOutcome, SeparabilityCertificate, _derived, _inverse_map, _pivot,
-                     _remember, certify, verify_idempotent)
+from .engine import (CheckOutcome, SeparabilityCertificate, _certificate, _inverse_map, _pivot,
+                     _remember, certify)
 from .errors import (
     CrossBlockLeakage,
     GramNotPositiveDefinite,
@@ -30,7 +30,7 @@ from .errors import (
     TwistError,
 )
 from .integrals import DerivedData, derive_all
-from .tensor import TensorElement, is_full
+from .tensor import TensorElement
 
 
 def check_self_adjoint(e: TensorElement) -> bool:
@@ -322,8 +322,9 @@ def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
     matrix M must vanish across blocks (CrossBlockLeakage), and so must the
     global S, S', sigma and sigma'.  Each component E_a then gets in its
     memo the restrictions of the global S, S', S^-1, S'^-1, phi and psi,
-    the fullness and the idempotency verdict; certify(E_a) reads them, and
-    recover_twist's reconstruction of E_a is the only check run per block.
+    the fullness, the idempotency verdict and the certificate; certify(E_a)
+    reads them, and recover_twist's reconstruction of E_a is the only check
+    run per block.
 
     The restrictions are E_a's own data.  With no entry across blocks,
     E = sum of the E_a, and products across blocks vanish, so:
@@ -341,7 +342,8 @@ def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
       The unit: the S(1_a) lie in the blocks C_a and sum to 1, so
       S(1_a) = 1_a.  Anti-multiplicativity and S^-1 S = id hold on each
       block as on the whole.  S' likewise.
-    * z = 1 gives z_a = 1_a, so each block certifies as E does.
+    * z = 1 gives z_a = 1_a, so each block certifies as E does: its
+      certificate is E's with S, S' and z restricted to the block.
 
     In float mode the same holds up to the comparison tolerance, which
     the leakage checks apply.  An element over one matrix block is its own
@@ -378,10 +380,7 @@ def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
             comp = e
         else:
             comp = _restriction(e, data, comp_alg, bounds_b[a_idx], bounds_c[a_idx])
-        cert = certify(comp)
-        if not cert.ok and cert.mode != "nilpotent_variant":
-            raise SepidemError(f"block {a_idx} does not certify: {cert.reason}")
-        out.append(BlockData(a_idx, n, comp, cert, recover_twist(comp)))
+        out.append(BlockData(a_idx, n, comp, certify(comp), recover_twist(comp)))
     return out
 
 
@@ -411,21 +410,25 @@ def _restriction(e, data, alg, rb, rc):
     """The component of e on the blocks rb of B and rc of C, over alg, with
     its memo filled by restriction (proof in decompose_blocks)."""
     comp = TensorElement._raw(alg, alg, _block(e.rows, rb, rc))
+    maps = {}
     for side, t, t_inv, target, source in (
             ("right", data.antipode, _inverse_map(e, "right"), rc, rb),
             ("left", data.reverse_antipode, _inverse_map(e, "left"), rb, rc)):
-        _remember(comp, "map", LinearMap(alg, alg, _block(t.rows, target, source)), side)
+        maps[side] = LinearMap(alg, alg, _block(t.rows, target, source))
+        _remember(comp, "map", maps[side], side)
         _remember(comp, "inverse", LinearMap(alg, alg, _block(t_inv.rows, source, target)), side)
     for side, fun, (lo, hi) in (("left", data.left_integral, rc),
                                 ("right", data.right_integral, rb)):
         cov = fun.covector[lo:hi]
         _remember(comp, "covector", cov, side)
         _remember(comp, "integral", LinearFunctional(alg, cov), side)
-    if _derived(e, "full", is_full):
-        _remember(comp, "full", True)
-        verdict = _derived(e, "verdict", verify_idempotent)
-        if verdict.kind != "other":
-            _remember(comp, "verdict", verdict)
+    cert = _certificate(e)
+    _remember(comp, "full", cert.full)
+    _remember(comp, "verdict", cert.idempotency)
+    z, (lo, hi) = cert.central_element, rc
+    _remember(comp, "certificate", replace(
+        cert, antipode=maps["right"], reverse_antipode=maps["left"],
+        central_element=AlgebraElement(alg, z.coeffs[lo:hi])))
     return comp
 
 

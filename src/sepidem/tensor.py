@@ -142,10 +142,7 @@ class TensorElement:
             return NotImplemented
         if self.left != other.left or self.right != other.right:
             return False
-        f = self.field
-        return all(
-            f.eq(a, b) for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        return linalg.mat_eq(self.rows, other.rows, self.field)
 
     __hash__ = None
 
