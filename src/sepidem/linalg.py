@@ -15,8 +15,9 @@ only then by truthiness.  Identity alone would be wrong: Fraction(0)
 objects made by arithmetic, by documents or by coerce are zero without
 being field.zero.  A pivot row is normalised by dividing its nonzeros
 only (zeros become field.zero, the pivot field.one), rows are updated
-along a pivot row's nonzero items, and a product converts only the
-entries of a row that came out nonzero.  Exact equality (mat_eq) compares
+along a pivot row's nonzero items (solve_unique's forward pass, whose
+pivot rows keep changing, tests each entry instead of listing them), and
+a product converts only the entries of a row that came out nonzero.  Exact equality (mat_eq) compares
 whole rows as sequences, whose comparison tests identity before it calls
 __eq__.  Float branches keep their loops, so their results are bit for
 bit what they were.
@@ -390,8 +391,9 @@ def solve_unique(a, b, field):
             f = row[pc]
             if f is zero or not f:
                 continue
-            for j, y in nonzero_items(prow, zero):
-                row[j] = row[j] - f * y
+            for j, y in enumerate(prow):  # pivot rows change below: no items kept
+                if y is not zero and y:
+                    row[j] = row[j] - f * y
             row[pc] = zero
         j = _pick_pivot(row, 0, field, scale, end=n)
         if j is not None:
