@@ -17,10 +17,10 @@ being field.zero.  A pivot row is normalised by dividing its nonzeros
 only (zeros become field.zero, the pivot field.one), rows are updated
 along a pivot row's nonzero items (solve_unique's forward pass, whose
 pivot rows keep changing, tests each entry instead of listing them), and
-a product converts only the entries of a row that came out nonzero.  Exact equality (mat_eq) compares
-whole rows as sequences, whose comparison tests identity before it calls
-__eq__.  Float branches keep their loops, so their results are bit for
-bit what they were.
+a product converts only the entries of a row that came out nonzero.
+Exact equality (mat_eq) compares whole rows as sequences, whose
+comparison tests identity before it calls __eq__.  Float branches keep
+their arithmetic, so their results are bit for bit what they were.
 """
 
 from __future__ import annotations

@@ -59,6 +59,26 @@ def test_twisted_rejects_singular(m2):
         sd.twisted_idempotent(sing, m2.one())
 
 
+@pytest.mark.parametrize("field", [sd.EXACT, sd.FLOAT64])
+def test_twisted_invertibility_is_a_rank_test(field, monkeypatch):
+    """r and s are checked on their n x n matrices, with no solve in the
+    algebra, and the error names the singular one."""
+    from sepidem import linalg
+
+    r, s = sd.random_twisted_pair(3, random.Random(9), field=field)
+    a = r.algebra
+    sing = sd.element_from_matrix(a, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    solves = []
+    original = linalg.solve_unique
+    monkeypatch.setattr(linalg, "solve_unique", lambda *a: solves.append(1) or original(*a))
+    assert sd.twisted_idempotent(r, s) is not None
+    for args, bad in (((sing, s), 0), ((r, sing), 1), ((r, a.zero()), 1)):
+        with pytest.raises(NotInvertible) as info:
+            sd.twisted_idempotent(*args)
+        assert info.value.element is args[bad]
+    assert not solves
+
+
 def test_involutive_r1_is_e0(m2, e0_2):
     assert sd.involutive_twisted_idempotent(m2.one()) == e0_2
 

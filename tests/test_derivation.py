@@ -205,6 +205,40 @@ def test_cli_decompose_single_block_forms_the_leg_product_once(tmp_path, capsys,
     assert counter == {"_leg_product": 1}
 
 
+def test_cli_decompose_multi_block_forms_the_leg_product_once(tmp_path, capsys, monkeypatch):
+    """Each block of a sum keeps the restriction of the sum's certificate,
+    so no block forms its own leg product."""
+    from sepidem import engine
+
+    counter = _count_calls(monkeypatch, engine, "_leg_product")
+    doc = {"E": {"kind": "direct_sum",
+                 "components": [{"kind": "E0", "n": n} for n in (1, 2, 3)]}}
+    code, out = _cli(tmp_path, capsys, doc, "decompose")
+    assert code == 0 and len(json.loads(out)["derived"]["blocks"]) == 3
+    assert counter == {"_leg_product": 1}
+
+
+def test_block_certificates_equal_the_blocks_own(rng):
+    """The restricted certificate of each block equals what certify
+    computes on a fresh copy of the block, field by field, exact and
+    float64."""
+    comps = [sd.standard_idempotent(1),
+             sd.involutive_twisted_idempotent(sd.random_involutive_diagonal(2, rng)),
+             sd.twisted_idempotent(*sd.random_twisted_pair(3, rng))]
+    exact = sd.direct_sum_idempotent(comps)
+    for e in (exact, exact.to_field(FLOAT64)):
+        for b in sd.decompose_blocks(e):
+            fresh = sd.certify(sd.TensorElement(b.element.left, b.element.right, b.element.rows))
+            got = b.certificate
+            assert got.element is b.element and got.mode == fresh.mode == "separability_idempotent"
+            for name in ("antipode", "reverse_antipode"):
+                assert getattr(got, name).rows == getattr(fresh, name).rows
+            assert got.central_element.coeffs == fresh.central_element.coeffs
+            for name in ("reason", "regular", "full", "idempotency", "absorption_right",
+                         "absorption_left", "counit", "swap", "splitting", "determinacy"):
+                assert getattr(got, name) == getattr(fresh, name), name
+
+
 def test_certified_element_leaves_no_garbage_cycle(r75):
     """The memo keeps the certificate without its element field, so it
     forms no reference cycle with the element."""

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,3 +244,272 @@ def test_float_solve_pivoting():
     b = [[1 + 0j], [2 + 0j]]
     x = linalg.solve_unique(a, b, FLOAT64)
     assert abs(x[0][0] - 1) < 1e-6 and abs(x[1][0] - 1) < 1e-6
+
+
+# -- the dense loops the exact kernels replaced, kept as references ---------------------------
+#
+# The kernels skip zero entries by testing them against the field's zero by
+# identity before truthiness, and divide a pivot row's nonzeros only.  Their
+# results must equal these loops, which test and divide every entry, in
+# value and type (exact) and bit for bit (float).
+
+ZEROS = (EXACT.zero, Fraction(0), Fraction(0, 7), EXACT.coerce(0))
+
+
+def _ref_pick_pivot(row, start, field, scale, end=None):
+    if end is None:
+        end = len(row)
+    if field.is_exact:
+        return next((j for j in range(start, end) if row[j]), None)
+    best, best_size = None, 0.0
+    for j in range(start, end):
+        m = abs(row[j])
+        if m > best_size:
+            best, best_size = j, m
+    if best is None or field.negligible(row[best], scale):
+        return None
+    return best
+
+
+def _ref_mat_mul(a, b, field):
+    nb = len(b[0]) if b else 0
+    out = [[field.zero] * nb for _ in a]
+    for i, arow in enumerate(a):
+        for j, x in enumerate(arow):
+            if x:
+                for l, y in enumerate(b[j]):
+                    if y:
+                        out[i][l] = out[i][l] + x * y
+    return out
+
+
+def _ref_row_echelon(a, field):
+    scale = linalg.matrix_scale(a, field)
+    pivots, pivot_cols = [], []
+    for row in a:
+        row = list(row)
+        for prow, pc in zip(pivots, pivot_cols):
+            f = row[pc]
+            if not f or field.negligible(f, scale):
+                row[pc] = field.zero
+                continue
+            for j, y in enumerate(prow):
+                if y:
+                    row[j] = row[j] - f * y
+            row[pc] = field.zero
+        j = _ref_pick_pivot(row, 0, field, scale)
+        if j is not None:
+            p = row[j]
+            pivots.append([x / p for x in row])
+            pivot_cols.append(j)
+    return pivots, pivot_cols
+
+
+def _ref_reduced_echelon(a, field):
+    pivots, pivot_cols = _ref_row_echelon(a, field)
+    for t in range(len(pivots) - 1, -1, -1):
+        prow, pc = pivots[t], pivot_cols[t]
+        for s in range(t):
+            f = pivots[s][pc]
+            if f:
+                pivots[s] = [x - f * y for x, y in zip(pivots[s], prow)]
+                pivots[s][pc] = field.zero
+    return pivots, pivot_cols
+
+
+def _ref_solve_unique(a, b, field):
+    m, n = len(a), len(a[0]) if a else 0
+    scale = max(linalg.matrix_scale(a, field), linalg.matrix_scale(b, field))
+    pivots, pivot_cols = [], []
+    for idx in range(m):
+        row = list(a[idx]) + list(b[idx])
+        for prow, pc in zip(pivots, pivot_cols):
+            f = row[pc]
+            if not f:
+                continue
+            for j, y in enumerate(prow):
+                if y:
+                    row[j] = row[j] - f * y
+            row[pc] = field.zero
+        j = _ref_pick_pivot(row, 0, field, scale, end=n)
+        if j is not None:
+            p = row[j]
+            row = [x / p for x in row]
+            row[j] = field.one
+            for prow in pivots:
+                f = prow[j]
+                if f:
+                    for t, y in enumerate(row):
+                        if y:
+                            prow[t] = prow[t] - f * y
+                    prow[j] = field.zero
+            pivots.append(row)
+            pivot_cols.append(j)
+        elif _ref_pick_pivot(row, n, field, scale) is not None:
+            raise linalg.InconsistentSystem(idx)
+    if len(pivots) < n:
+        raise linalg.RankDeficient(len(pivots), n)
+    x = [None] * n
+    for prow, pc in zip(pivots, pivot_cols):
+        x[pc] = prow[n:]
+    return x
+
+
+def _sparse_entry(rng, field, gaussian):
+    """Zero in about half the entries, in exact mode as any of the zero
+    objects of ZEROS; otherwise a rational, or Gaussian one in three."""
+    if rng.random() < 0.5:
+        return rng.choice(ZEROS) if field.is_exact else 0j
+    if field.is_exact:
+        x = random_q(rng)
+        return gauss(x, random_q(rng)) if gaussian and rng.random() < 0.35 else x
+    return complex(rng.uniform(-2, 2), rng.uniform(-2, 2) if gaussian else 0.0)
+
+
+def _assert_same(got, want, field):
+    """Equal shapes and entries, of the same type; float entries by repr."""
+    assert len(got) == len(want)
+    for grow, wrow in zip(got, want):
+        assert len(grow) == len(wrow)
+        for x, y in zip(grow, wrow):
+            assert x == y and type(x) is type(y)
+            if not field.is_exact:
+                assert repr(x) == repr(y)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except (linalg.InconsistentSystem, linalg.RankDeficient) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _sparse_systems(field, gaussian, rng):
+    """Random square and tall systems, some singular or inconsistent, some
+    with repeated rows, plus matrix-unit (permuted diagonal) ones."""
+    for _ in range(40):
+        m, n = rng.randint(1, 7), rng.randint(1, 6)
+        a = [[_sparse_entry(rng, field, gaussian) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            a[-1] = list(a[0])
+        yield a, [[_sparse_entry(rng, field, gaussian) for _ in range(2)] for _ in range(m)]
+    for n in (1, 4, 6):
+        perm = rng.sample(range(n), n)
+        a = [[_sparse_entry(rng, field, False) if j == perm[i] else
+              (rng.choice(ZEROS) if field.is_exact else 0j) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            if not a[i][perm[i]]:
+                a[i][perm[i]] = field.one
+        yield a, linalg.identity(n, field)
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT64], ids=["exact", "float64"])
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "gaussian"])
+def test_sparse_kernels_equal_the_dense_loops(field, gaussian):
+    rng = random.Random(20)
+    for a, b in _sparse_systems(field, gaussian, rng):
+        _assert_same(linalg.mat_mul(a, linalg.transpose(a), field),
+                     _ref_mat_mul(a, linalg.transpose(a), field), field)
+        got, want = linalg.row_echelon(a, field), _ref_row_echelon(a, field)
+        _assert_same(got[0], want[0], field)
+        assert got[1] == want[1] and linalg.rank(a, field) == len(want[0])
+        got, want = linalg.reduced_echelon(a, field), _ref_reduced_echelon(a, field)
+        _assert_same(got[0], want[0], field)
+        assert got[1] == want[1]
+        (got, got_exc), (want, want_exc) = (_outcome(fn, a, b, field)
+                                            for fn in (linalg.solve_unique, _ref_solve_unique))
+        assert got_exc == want_exc
+        if want is not None:
+            _assert_same(got, want, field)
+
+
+def test_solve_unique_divides_only_nonzeros(monkeypatch):
+    """A diagonal 16 x 16 system with one right-hand column has 32
+    nonzeros; dividing every entry of every pivot row would take 16 x 17
+    divisions."""
+    n = 16
+    a = [[Fraction(i + 2, 3) if i == j else ZEROS[(i + j) % 4] for j in range(n)]
+         for i in range(n)]
+    b = [[Fraction(i + 1, 5)] for i in range(n)]
+    divisions = []
+    original = Fraction.__truediv__
+    monkeypatch.setattr(Fraction, "__truediv__",
+                        lambda x, y: divisions.append(1) or original(x, y))
+    x = linalg.solve_unique(a, b, EXACT)
+    monkeypatch.undo()
+    assert x == [[Fraction(3 * (i + 1), 5 * (i + 2))] for i in range(n)]
+    assert len(divisions) <= 2 * n
+
+
+# -- exact equality compares whole rows --------------------------------------------------------
+
+
+def _entrywise_eq(a, b, field):
+    return all(field.eq(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _equal_copy(rows, field):
+    """rows with every entry a distinct but equal object (exact mode)."""
+    if not field.is_exact:
+        return [list(r) for r in rows]
+    return [[Fraction(x) if type(x) is Fraction else gauss(Fraction(x.re), Fraction(x.im))
+             for x in r] for r in rows]
+
+
+def _variants(rows, field, rng):
+    """(other, equal?) pairs: an identical copy, an equal copy of distinct
+    objects, and a copy with one entry changed."""
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    changed = [list(r) for r in rows]
+    changed[i][j] = changed[i][j] + field.one
+    return [([list(r) for r in rows], True), (_equal_copy(rows, field), True), (changed, False)]
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT64], ids=["exact", "float64"])
+def test_equality_paths_agree_with_the_entrywise_loop(field):
+    """mat_eq, TensorElement.__eq__ and LinearMap.__eq__ give the verdict
+    of the entrywise field.eq loop on random pairs, and reject one changed
+    entry."""
+    rng = random.Random(21)
+    a = sd.matrix_algebra(2, field=field)
+    for _ in range(30):
+        rows = [[_sparse_entry(rng, field, True) for _ in range(a.dim)] for _ in range(a.dim)]
+        for other, equal in _variants(rows, field, rng):
+            assert _entrywise_eq(rows, other, field) is equal
+            assert linalg.mat_eq(rows, other, field) is equal
+            assert (sd.TensorElement(a, a, rows) == sd.TensorElement(a, a, other)) is equal
+            assert (sd.LinearMap(a, a, rows) == sd.LinearMap(a, a, other)) is equal
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT64], ids=["exact", "float64"])
+def test_mat_eq_rejects_unequal_shapes(field):
+    one, zero = field.one, field.zero
+    rows = [[one, zero], [zero, one]]
+    for other in ([[one, zero]], rows + [[zero, zero]], [[one, zero, zero], [zero, one]],
+                  [[one, zero], [zero]]):
+        assert not linalg.mat_eq(rows, other, field)
+        assert not linalg.mat_eq(other, rows, field)
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT64], ids=["exact", "float64"])
+def test_homomorphism_check_agrees_with_the_entrywise_loop(field):
+    """x -> r x^T r^-1 is a unital anti-homomorphism of M_2 for invertible
+    r, and T L_g = R_{T(g)} T holds on the generators entry by entry; one
+    changed matrix entry breaks both the entrywise check and the map's."""
+    rng = random.Random(22)
+    a = sd.matrix_algebra(2, field=field)
+    s0 = sd.transpose_anti_map(a)
+    for _ in range(12):
+        r = sd.random_invertible(a, rng)
+        conj = linalg.mat_mul(a.left_mult_matrix(r.coeffs),
+                              a.right_mult_matrix(r.inverse().coeffs), field)
+        rows = linalg.mat_mul(conj, [list(row) for row in s0.rows], field)
+        for other, _ in _variants(rows, field, rng):
+            t = sd.LinearMap(a, a, other)
+            entrywise = _entrywise_eq(
+                [t(a.one()).coeffs], [a.unit], field) and all(
+                _entrywise_eq(linalg.mat_mul(other, a.left_mult_matrix(g.coeffs), field),
+                              linalg.mat_mul(a.right_mult_matrix(t(g).coeffs), other, field),
+                              field)
+                for g in a.generating_set())
+            assert (t.anti_multiplicative_witness() is None) is entrywise
