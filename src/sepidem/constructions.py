@@ -52,13 +52,18 @@ def twisted_idempotent(r: AlgebraElement, s: AlgebraElement,
     The square of the result is (tr(sr)/n) times the result, so it is an
     idempotent iff tr(sr) = n, and squares to zero iff tr(sr) = 0.  With
     normalize=True, s is rescaled by n/tr(sr) whenever tr(sr) != 0.
-    Invertibility is a rank test on the n x n matrices of r and s, as in
-    star.recover_twist, not a solve in the n^2-dimensional algebra.
+    Exact invertibility is a rank test on the n x n matrices of r and s,
+    as in star.recover_twist, not a solve in the n^2-dimensional algebra;
+    float64 keeps AlgebraElement.inverse, whose residual check refuses
+    r and s too ill-conditioned to invert within the tolerance.
     """
     a = r.algebra
     if s.algebra != a:
         raise IncompatibleComponents("r and s must live in the same algebra")
     for x in (r, s):
+        if not a.field.is_exact:  # the solve's residual check also refuses ill-conditioned r, s
+            x.inverse()
+            continue
         m = element_as_matrix(x)
         if linalg.rank(m, a.field) < len(m):
             raise NotInvertible(x)

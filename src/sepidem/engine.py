@@ -445,11 +445,10 @@ def counit_identities(e: TensorElement, s: LinearMap, sp: LinearMap) -> CheckOut
 
 def _counit(e: TensorElement, z: AlgebraElement, sp: LinearMap) -> CheckOutcome:
     B, C = e.left, e.right
-    zero = e.field.zero
     z_prime = B.zero()
     for j in range(C.dim):
         col = [e.rows[i][j] for i in range(B.dim)]
-        if any(x is not zero and x for x in col):
+        if linalg.has_nonzero(col, e.field):
             z_prime = z_prime + AlgebraElement(B, col) * sp.on_basis(j)
     failures = [("C", label) for label in _unit_failures(z, "left")]
     failures += [("B", label) for label in _unit_failures(z_prime, "right")]
@@ -471,10 +470,9 @@ def _unit_failures(z: AlgebraElement, side: str) -> list:
 
 def _leg_product(e: TensorElement, s: LinearMap) -> AlgebraElement:
     """z = m_C (S (x) id) E."""
-    zero = e.field.zero
     acc = e.right.zero()
     for i, row in enumerate(e.rows):
-        if any(x is not zero and x for x in row):
+        if linalg.has_nonzero(row, e.field):
             acc = acc + s.on_basis(i) * AlgebraElement(e.right, list(row))
     return acc
 

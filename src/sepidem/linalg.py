@@ -9,18 +9,20 @@ straightforward Gaussian elimination with zero-skipping.
 Exact kernels do Python-level work only on nonzero entries.  The standard
 matrix-unit elements have dim nonzeros out of dim^2, and every call of a
 Fraction method costs far more than the loop step around it.  So a zero
-test (nonzero_items, _pick_pivot, the reductions) compares an entry with
-the field's canonical zero by identity first, which calls nothing, and
-only then by truthiness.  Identity alone would be wrong: Fraction(0)
-objects made by arithmetic, by documents or by coerce are zero without
-being field.zero.  A pivot row is normalised by dividing its nonzeros
-only (zeros become field.zero, the pivot field.one), rows are updated
-along a pivot row's nonzero items (solve_unique's forward pass, whose
-pivot rows keep changing, tests each entry instead of listing them), and
-a product converts only the entries of a row that came out nonzero.
-Exact equality (mat_eq) compares whole rows as sequences, whose
-comparison tests identity before it calls __eq__.  Float branches keep
-their arithmetic, so their results are bit for bit what they were.
+test (nonzero_items, has_nonzero, _pick_pivot, the reductions of
+row_echelon and solve_unique) compares an entry with the field's
+canonical zero by identity first, which calls nothing, and only then by
+truthiness.  Identity alone would be wrong: Fraction(0) objects made by
+arithmetic, by documents or by coerce are zero without being field.zero.
+A pivot row is normalised by dividing its nonzeros only (zeros become
+field.zero, the pivot field.one), rows are updated along a pivot row's
+nonzero items (solve_unique's forward pass, whose pivot rows keep
+changing, tests each entry instead of listing them), and a product
+converts only the entries of a row that came out nonzero.  Exact
+equality (mat_eq) compares whole rows as sequences, whose comparison
+tests identity before it calls __eq__.  Float branches keep their
+arithmetic, so their results are bit for bit what they were.
+reduced_echelon and hermitian_psd keep their entrywise loops.
 """
 
 from __future__ import annotations
@@ -69,6 +71,15 @@ def nonzero_items(row, zero):
     """(j, x) for the nonzero entries x of row; zero is the field's
     canonical zero, tested by identity before truthiness."""
     return [(j, x) for j, x in enumerate(row) if x is not zero and x]
+
+
+def has_nonzero(row, field):
+    """Whether row has a nonzero entry: nonzero_items' zero test in exact
+    mode, truthiness at C speed in float mode."""
+    if field.is_exact:
+        zero = field.zero
+        return any(x is not zero and x for x in row)
+    return any(row)
 
 
 def mat_mul(a, b, field):
@@ -318,12 +329,7 @@ def _eliminate(a, field, scale=None, target_rank=None):
         j = _pick_pivot(row, 0, field, scale)
         if j is None:
             continue
-        if field.is_exact:
-            prow, items = _unit_pivot_row(row, j, field)
-        else:
-            p = row[j]
-            prow = [x / p for x in row]
-            items = nonzero_items(prow, field.zero)
+        prow, items = _unit_pivot_row(row, j, field, set_one=False)
         pivots.append(prow)
         pivot_cols.append(j)
         reducers.append((j, items))
@@ -333,15 +339,23 @@ def _eliminate(a, field, scale=None, target_rank=None):
     return pivots, pivot_cols, picked
 
 
-def _unit_pivot_row(row, j, field):
-    """Exact row / row[j] and its nonzero items: the nonzeros are divided,
-    the pivot becomes field.one and the other entries field.zero."""
+def _unit_pivot_row(row, j, field, set_one=True):
+    """row / row[j] and its nonzero items.  Exact mode divides the nonzeros
+    only: the pivot becomes field.one and the other entries field.zero.
+    Float divides every entry, setting the pivot to field.one only when
+    set_one (a complex p / p need not be exactly 1)."""
     p, zero = row[j], field.zero
+    if not field.is_exact:
+        prow = [x / p for x in row]
+        if set_one:
+            prow[j] = field.one
+        return prow, nonzero_items(prow, zero)
     items = [(t, x / p if t != j else field.one) for t, x in nonzero_items(row, zero)]
     prow = [zero] * len(row)
     for t, y in items:
         prow[t] = y
     return prow, items
+
 
 
 def _reduce_row(row, reducers, field, scale):
@@ -397,13 +411,7 @@ def solve_unique(a, b, field):
             row[pc] = zero
         j = _pick_pivot(row, 0, field, scale, end=n)
         if j is not None:
-            if field.is_exact:
-                row, items = _unit_pivot_row(row, j, field)
-            else:
-                p = row[j]
-                row = [x / p for x in row]
-                row[j] = field.one
-                items = nonzero_items(row, zero)
+            row, items = _unit_pivot_row(row, j, field)
             for prow in pivots:
                 f = prow[j]
                 if f is not zero and f:
@@ -433,21 +441,13 @@ def reduced_echelon(a, field):
     by comparing these rows.
     """
     pivots, pivot_cols = row_echelon(a, field)
-    zero = field.zero
     for t in range(len(pivots) - 1, -1, -1):
         prow, pc = pivots[t], pivot_cols[t]
-        items = nonzero_items(prow, zero) if field.is_exact else None
         for s in range(t):
             f = pivots[s][pc]
-            if f is zero or not f:
-                continue
-            if items is None:  # float keeps its dense update, signed zeros included
+            if f:
                 pivots[s] = [x - f * y for x, y in zip(pivots[s], prow)]
-            else:
-                srow = pivots[s]
-                for j, y in items:
-                    srow[j] = srow[j] - f * y
-            pivots[s][pc] = zero
+                pivots[s][pc] = field.zero
     return pivots, pivot_cols
 
 
@@ -497,7 +497,6 @@ def hermitian_psd(g, field):
         if eig.min() < -thresh:
             return False, 0
         return True, int((eig > thresh).sum())
-    zero = field.zero
     work = {i: {j: g[i][j] for j in range(n)} for i in range(n)}
     active = set(range(n))
     rnk = 0
@@ -507,7 +506,7 @@ def hermitian_psd(g, field):
             d = work[i][i]
             if not field.is_real(d):
                 return False, rnk
-            if d is not zero and d:
+            if d:
                 if field.real(d) < 0:
                     return False, rnk
                 if pivot is None:
@@ -517,8 +516,7 @@ def hermitian_psd(g, field):
             for i in active:
                 wi = work[i]
                 for j in active:
-                    x = wi[j]
-                    if x is not zero and x:
+                    if wi[j]:
                         return False, rnk
             return True, rnk
         d = work[pivot][pivot]
@@ -528,10 +526,10 @@ def hermitian_psd(g, field):
         for i in others:
             ci = col[i]
             wi = work[i]
-            if ci is not zero and ci:
+            if ci:
                 for j in others:
                     rj = row[j]
-                    if rj is not zero and rj:
+                    if rj:
                         wi[j] = wi[j] - ci * rj / d
         active.remove(pivot)
         rnk += 1

@@ -29,7 +29,7 @@ from .errors import (
     SepidemError,
     TwistError,
 )
-from .integrals import DerivedData, derive_all
+from .integrals import DerivedData, _require_integrable, derive_all
 from .tensor import TensorElement
 
 
@@ -320,7 +320,10 @@ def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
 
     data is e's derived data (derive_all(e) by default).  The coefficient
     matrix M must vanish across blocks (CrossBlockLeakage), and so must the
-    global S, S', sigma and sigma'.  Each component E_a then gets in its
+    global S, S', sigma and sigma'.  Supplied data is held to what
+    derive_all would give: e must certify as a separability idempotent
+    (RefusedForMode otherwise), and data's S and S' must be e's own.
+    Each component E_a then gets in its
     memo the restrictions of the global S, S', S^-1, S'^-1, phi and psi,
     the fullness, the idempotency verdict and the certificate; certify(E_a)
     reads them, and recover_twist's reconstruction of E_a is the only check
@@ -363,7 +366,8 @@ def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
     for i, j, c in e.nonzero_items():
         if not f.is_zero(c) and block_of_b[i] != block_of_c[j]:
             raise CrossBlockLeakage(block_of_b[i], block_of_c[j], (i, j))
-    if data is None:
+    supplied = data is not None
+    if not supplied:
         data = derive_all(e)
     for name, t, rows, cols in [
         ("S", data.antipode, bounds_c, bounds_b),
@@ -372,6 +376,11 @@ def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
         ("sigma'", data.reverse_modular, bounds_b, bounds_b),
     ]:
         _assert_block_diagonal(name, t.rows, rows, cols, f)
+    if supplied:  # gate as derive_all does; the blocks' certificates restrict these S, S'
+        _require_integrable(e)
+        cert = _certificate(e)
+        if data.antipode != cert.antipode or data.reverse_antipode != cert.reverse_antipode:
+            raise SepidemError("supplied S or S' is not the element's own")
     with_star = B.star_matrix is not None and C.star_matrix is not None
     out = []
     for a_idx, n in enumerate(B.blocks):

@@ -407,7 +407,9 @@ def _sparse_systems(field, gaussian, rng):
 @pytest.mark.parametrize("gaussian", [False, True], ids=["real", "gaussian"])
 def test_sparse_kernels_equal_the_dense_loops(field, gaussian):
     rng = random.Random(20)
+    assert not linalg.has_nonzero(ZEROS if field.is_exact else [0j, -0j], field)
     for a, b in _sparse_systems(field, gaussian, rng):
+        assert [linalg.has_nonzero(row, field) for row in a] == [any(row) for row in a]
         _assert_same(linalg.mat_mul(a, linalg.transpose(a), field),
                      _ref_mat_mul(a, linalg.transpose(a), field), field)
         got, want = linalg.row_echelon(a, field), _ref_row_echelon(a, field)

@@ -10,6 +10,7 @@ from sepidem.errors import (
     NoBlockPresentation,
     NotInvertible,
     ReconstructionMismatch,
+    RefusedForMode,
     SepidemError,
 )
 from sepidem import linalg
@@ -337,6 +338,27 @@ def test_decompose_detects_leaking_global_maps(name):
     tampered = dataclasses.replace(data, **{name: _with_leak(getattr(data, name), 2, 0)})
     with pytest.raises(SepidemError, match=r"^global \S+ leaks across block 0$"):
         sd.decompose_blocks(e, tampered)
+
+
+def test_decompose_refuses_data_that_is_not_the_elements():
+    """Supplied data is gated as derive_all gates: a block-diagonal but
+    wrong S, or an element whose certificate is rejected, is refused
+    rather than passed on to the blocks' certificates."""
+    e = sd.direct_sum_idempotent([sd.standard_idempotent(1), sd.standard_idempotent(2)])
+    data = sd.derive_all(e)
+    for name in ("antipode", "reverse_antipode"):
+        rows = [list(r) for r in getattr(data, name).rows]
+        rows[0][0] = rational(2)  # inside block 0
+        t = getattr(data, name)
+        wrong = dataclasses.replace(data, **{name: sd.LinearMap(t.source, t.target, rows)})
+        with pytest.raises(SepidemError, match=r"^supplied S or S' is not the element's own$"):
+            sd.decompose_blocks(e, wrong)
+    rows = [list(r) for r in e.rows]
+    rows[1][1] = rational(0)  # M singular: not full
+    rejected = sd.TensorElement(e.left, e.right, rows)
+    assert sd.certify(rejected).mode == "rejected"
+    with pytest.raises(RefusedForMode, match="certificate mode: rejected"):
+        sd.decompose_blocks(rejected, data)
 
 
 def test_decompose_blocks_read_the_sums_data(rng):
