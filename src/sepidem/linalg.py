@@ -357,7 +357,6 @@ def _unit_pivot_row(row, j, field, set_one=True):
     return prow, items
 
 
-
 def _reduce_row(row, reducers, field, scale):
     """row minus row[pc] times each pivot row, given as (pc, its nonzero
     items); a negligible row[pc] is set to zero instead (float mode)."""

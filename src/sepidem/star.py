@@ -322,12 +322,11 @@ def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
     matrix M must vanish across blocks (CrossBlockLeakage), and so must the
     global S, S', sigma and sigma'.  Supplied data is held to what
     derive_all would give: e must certify as a separability idempotent
-    (RefusedForMode otherwise), and data's S and S' must be e's own.
-    Each component E_a then gets in its
-    memo the restrictions of the global S, S', S^-1, S'^-1, phi and psi,
-    the fullness, the idempotency verdict and the certificate; certify(E_a)
-    reads them, and recover_twist's reconstruction of E_a is the only check
-    run per block.
+    (RefusedForMode otherwise), and data's S and S' must be e's own.  Each
+    component E_a then gets in its memo the restrictions of the global S,
+    S', S^-1, S'^-1, phi and psi, the fullness, the idempotency verdict and
+    the certificate; certify(E_a) reads them, and recover_twist's
+    reconstruction of E_a is the only check run per block.
 
     The restrictions are E_a's own data.  With no entry across blocks,
     E = sum of the E_a, and products across blocks vanish, so:
