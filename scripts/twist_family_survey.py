@@ -36,7 +36,7 @@ def main():
         cert = sd.certify(e)
         modes[cert.mode] += 1
         if cert.ok:
-            data = sd.derive_all(e, cert.mode)
+            data = sd.derive_all(e)
             cf = sd.twisted_closed_forms(r, s)
             if (data.antipode == cf.antipode
                     and data.left_integral == cf.left_integral

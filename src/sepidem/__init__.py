@@ -17,7 +17,6 @@ from .algebra import (
     element_as_matrix,
     element_from_matrix,
     identity_map,
-    invert,
     matrix_algebra,
     structure_constant_algebra,
     trace_functional,

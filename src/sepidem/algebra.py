@@ -38,8 +38,7 @@ from .scalars import EXACT, common_field
 
 class Algebra:
     # _table: the integer form of mult (see _integer_table)
-    __slots__ = ("field", "dim", "labels", "mult", "unit", "star_matrix", "blocks", "_hash",
-                 "_table")
+    __slots__ = ("field", "dim", "labels", "mult", "unit", "star_matrix", "blocks", "_table")
 
     def __init__(self, field, labels, mult, unit, star_matrix=None, blocks=None):
         self._assign(field, labels, mult, unit, star_matrix, blocks)
@@ -69,7 +68,6 @@ class Algebra:
             else None
         )
         self.blocks = tuple(int(n) for n in blocks) if blocks is not None else None
-        self._hash = None
 
     # -- validation ---------------------------------------------------------
 
@@ -348,11 +346,6 @@ class Algebra:
             and self.blocks == other.blocks
         )
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, self.labels, self.blocks, self.dim))
-        return self._hash
-
     def __repr__(self):
         if self.blocks is not None:
             shape = "+".join(f"M{n}" for n in self.blocks)
@@ -562,8 +555,7 @@ class AlgebraElement:
             return NotImplemented
         if self.algebra != other.algebra:
             return False
-        f = self.algebra.field
-        return all(f.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
+        return linalg.mat_eq([self.coeffs], [other.coeffs], self.algebra.field)
 
     __hash__ = None
 
@@ -573,10 +565,6 @@ class AlgebraElement:
             f"{c}*{lab}" for c, lab in zip(self.coeffs, self.algebra.labels) if not f.is_zero(c)
         ]
         return " + ".join(terms) if terms else "0"
-
-
-def invert(x: AlgebraElement) -> AlgebraElement:
-    return x.inverse()
 
 
 class LinearFunctional:
@@ -593,9 +581,6 @@ class LinearFunctional:
             if c and v:
                 acc = acc + c * v
         return acc
-
-    def on_basis(self, i):
-        return self.covector[i]
 
     def form_matrix(self):
         """The bilinear form (x, y) -> f(xy) on basis pairs."""
@@ -650,8 +635,7 @@ class LinearFunctional:
             return NotImplemented
         if self.algebra != other.algebra:
             return False
-        f = self.algebra.field
-        return all(f.eq(a, b) for a, b in zip(self.covector, other.covector))
+        return linalg.mat_eq([self.covector], [other.covector], self.algebra.field)
 
     __hash__ = None
 

@@ -59,9 +59,7 @@ def parse_scalar(x, fld, loc):
         if isinstance(x, (list, tuple)) and len(x) == 2:
             re_part = parse_scalar(x[0], fld, loc + "[0]")
             im_part = parse_scalar(x[1], fld, loc + "[1]")
-            if fld.is_exact:
-                return fld.from_pair(re_part, im_part)
-            return complex(re_part.real, im_part.real)
+            return fld.coerce((re_part, im_part))
     except DocumentError:
         raise
     except (TypeError, ValueError, ZeroDivisionError) as exc:

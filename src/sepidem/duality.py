@@ -54,8 +54,8 @@ class DualElement:
             return NotImplemented
         if self.side != other.side:
             return False
-        f = self.representative.algebra.field
-        return all(f.eq(a, b) for a, b in zip(self.covector, other.covector))
+        return linalg.mat_eq([self.covector], [other.covector],
+                             self.representative.algebra.field)
 
     __hash__ = None
 
@@ -85,30 +85,16 @@ class Duality:
         return self._sides[side]
 
     @classmethod
-    def from_element(cls, e: TensorElement, mode=None) -> "Duality":
-        return cls(derive_all(e, mode))
+    def from_element(cls, e: TensorElement) -> "Duality":
+        return cls(derive_all(e))
 
     # -- Fourier transform -------------------------------------------------
 
-    def fourier(self, x: AlgebraElement, side: str = None) -> DualElement:
-        """b -> psi(b . ) on the B side, c -> phi( . c) on the C side.
-
-        side is only needed when the two algebras coincide."""
-        if side is None:
-            side = self._infer_side(x)
+    def fourier(self, x: AlgebraElement, side: str) -> DualElement:
+        """b -> psi(b . ) on the B side ("B"), c -> phi( . c) on the C side
+        ("C")."""
         cov = linalg.vec_mat(list(x.coeffs), self._side(side).fourier, self.field)
         return DualElement(side, x, tuple(cov))
-
-    def _infer_side(self, x):
-        hit_b = x.algebra == self.B
-        hit_c = x.algebra == self.C
-        if hit_b and hit_c:
-            raise SepidemError("the algebras coincide; pass side='B' or side='C'")
-        if hit_b:
-            return "B"
-        if hit_c:
-            return "C"
-        raise SepidemError("element belongs to neither tensor leg")
 
     def from_covector(self, side: str, covector) -> DualElement:
         """Rebuild the representative from a covector (the forms are

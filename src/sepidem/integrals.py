@@ -17,8 +17,9 @@ derivations and Duality.from_element read the certificate certify keeps
 in the memo, and refuse (RefusedForMode, naming the certificate mode and
 its reason) unless its mode is "separability_idempotent".  Nilpotent
 variants (E^2 = 0), non-full elements, failed absorptions and
-non-idempotent elements are all refused there.  Their mode argument is
-redundant (the certificate decides) and kept for callers that pass it.
+non-idempotent elements are all refused there.  derive_all still takes a
+mode argument, which the certificate makes redundant, only because the
+benchmark's workloads pass one.
 """
 
 from __future__ import annotations
@@ -66,16 +67,14 @@ def _faithful_integral(e: TensorElement, side: str) -> LinearFunctional:
     return fun
 
 
-def derive_left_integral(e: TensorElement, mode=None) -> LinearFunctional:
-    """The unique phi on C with (id (x) phi) E = 1; faithful (asserted).
-    mode is redundant (module docstring)."""
+def derive_left_integral(e: TensorElement) -> LinearFunctional:
+    """The unique phi on C with (id (x) phi) E = 1; faithful (asserted)."""
     _require_integrable(e)
     return _integral(e, "left")
 
 
-def derive_right_integral(e: TensorElement, mode=None) -> LinearFunctional:
-    """The unique psi on B with (psi (x) id) E = 1; faithful (asserted).
-    mode is redundant (module docstring)."""
+def derive_right_integral(e: TensorElement) -> LinearFunctional:
+    """The unique psi on B with (psi (x) id) E = 1; faithful (asserted)."""
     _require_integrable(e)
     return _integral(e, "right")
 
@@ -163,7 +162,7 @@ def derive_all(e: TensorElement, mode=None) -> DerivedData:
     memo.  Float mode runs every check of modular_automorphisms (with the
     element and the integrals).  Exact mode composes sigma = S . S' and
     sigma' = S^-1 . S'^-1 and checks nothing more: the verified maps imply
-    what those checks prove (engine module docstring).  mode is redundant
+    what those checks prove (engine module docstring).  mode is ignored
     (module docstring)."""
     _require_integrable(e)
     phi, psi = _integral(e, "left"), _integral(e, "right")

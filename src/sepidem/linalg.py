@@ -22,7 +22,8 @@ converts only the entries of a row that came out nonzero.  Exact
 equality (mat_eq) compares whole rows as sequences, whose comparison
 tests identity before it calls __eq__.  Float branches keep their
 arithmetic, so their results are bit for bit what they were.
-reduced_echelon and hermitian_psd keep their entrywise loops.
+reduced_echelon and hermitian_psd keep their entrywise loops, and
+hermitian_psd runs the same elimination in both fields (its docstring).
 """
 
 from __future__ import annotations
@@ -52,11 +53,6 @@ class RankDeficient(SepidemError):
 def identity(n, field):
     zero, one = field.zero, field.one
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def zeros(m, n, field):
-    zero = field.zero
-    return [[zero] * n for _ in range(m)]
 
 
 def transpose(a):
@@ -475,62 +471,46 @@ def is_hermitian(g, field):
 
 
 def hermitian_psd(g, field):
-    """Positive-semidefiniteness of a Hermitian matrix.
+    """Positive-semidefiniteness of a Hermitian matrix: (is_psd, rank).
 
-    Exact mode pivots on positive diagonal entries and recurses on the
-    Schur complement; this never leaves the Gaussian rationals.  Float mode
-    thresholds the spectrum at -tol * max(1, largest entry).
-
-    Returns (is_psd, rank).
+    One symmetric elimination for both fields, pivoted on the largest
+    remaining diagonal entry (pivoted Cholesky of a semidefinite matrix,
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 10).  A non-real diagonal entry refutes PSD, and so does a negative
+    one that is not negligible.  Once every remaining diagonal entry is
+    negligible, the matrix is PSD exactly when every remaining entry is.
+    Negligible is literal zero in exact mode, which never leaves the
+    Gaussian rationals, and at most tol * max(1, largest entry) in float
+    mode.  The rank is the number of pivots; it is the matrix's rank only
+    when is_psd.
     """
-    n = len(g)
-    if n == 0:
-        return True, 0
-    if not field.is_exact:
-        import numpy as np
-
-        arr = np.array([[field.to_complex(x) for x in row] for row in g])
-        eig = np.linalg.eigvalsh(arr)
-        scale = max(1.0, float(np.max(np.abs(arr)))) if n else 1.0
-        thresh = field.tol * scale
-        if eig.min() < -thresh:
-            return False, 0
-        return True, int((eig > thresh).sum())
-    work = {i: {j: g[i][j] for j in range(n)} for i in range(n)}
-    active = set(range(n))
+    scale = matrix_scale(g, field)
+    work = [list(row) for row in g]
+    active = list(range(len(g)))
     rnk = 0
     while active:
-        pivot = None
+        pivot, d = None, 0
         for i in active:
-            d = work[i][i]
-            if not field.is_real(d):
+            x = work[i][i]
+            if not field.is_real(x):
                 return False, rnk
-            if d:
-                if field.real(d) < 0:
-                    return False, rnk
-                if pivot is None:
-                    pivot = i
-        if pivot is None:
-            # all diagonal entries vanish; PSD forces the rest to vanish too
-            for i in active:
-                wi = work[i]
-                for j in active:
-                    if wi[j]:
-                        return False, rnk
-            return True, rnk
-        d = work[pivot][pivot]
-        others = [i for i in active if i != pivot]
-        col = {i: work[i][pivot] for i in others}
-        row = {j: work[pivot][j] for j in others}
-        for i in others:
-            ci = col[i]
-            wi = work[i]
-            if ci:
-                for j in others:
-                    rj = row[j]
-                    if rj:
-                        wi[j] = wi[j] - ci * rj / d
+            r = field.real(x)
+            if r < 0 and not field.negligible(x, scale):
+                return False, rnk
+            if r > d:
+                pivot, d = i, r
+        if pivot is None or field.negligible(d, scale):
+            return all(field.negligible(work[i][j], scale) for i in active for j in active), rnk
         active.remove(pivot)
+        prow = work[pivot]
+        for i in active:
+            wi = work[i]
+            ci = wi[pivot]
+            if ci:
+                f = ci / d
+                for j in active:
+                    if prow[j]:
+                        wi[j] = wi[j] - f * prow[j]
         rnk += 1
     return True, rnk
 

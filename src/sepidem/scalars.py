@@ -162,14 +162,6 @@ def real_part(x):
     return x
 
 
-def imag_part(x):
-    if isinstance(x, GaussianRational):
-        return x.im
-    if isinstance(x, complex):
-        return x.imag
-    return 0
-
-
 def is_real(x) -> bool:
     if isinstance(x, GaussianRational):
         return not x.im
@@ -205,9 +197,6 @@ class ExactField:
             return _gauss(rational(x[0]), rational(x[1]))
         raise TypeError(f"cannot coerce {x!r} into the exact backend")
 
-    def from_pair(self, re, im):
-        return _gauss(rational(re), rational(im))
-
     def eq(self, a, b) -> bool:
         return a == b
 
@@ -222,9 +211,6 @@ class ExactField:
 
     def real(self, a):
         return real_part(a)
-
-    def imag(self, a):
-        return imag_part(a)
 
     def to_complex(self, a) -> complex:
         return to_complex(a)
@@ -266,9 +252,6 @@ class Float64Field:
             return complex(self.coerce(x[0]).real, self.coerce(x[1]).real)
         raise TypeError(f"cannot coerce {x!r} into the float64 backend")
 
-    def from_pair(self, re, im):
-        return complex(self.coerce(re).real, self.coerce(im).real)
-
     def eq(self, a, b) -> bool:
         return abs(a - b) <= self.tol * max(1.0, abs(a), abs(b))
 
@@ -283,9 +266,6 @@ class Float64Field:
 
     def real(self, a):
         return a.real
-
-    def imag(self, a):
-        return a.imag
 
     def to_complex(self, a) -> complex:
         return a

@@ -1,9 +1,10 @@
 """Involutive checks, positivity, GNS data, and block decomposition.
 
-Everything here presumes star structures on both algebras.  Positivity is
-decided exactly: the Gram matrix of a functional is tested for positive
-semidefiniteness by Hermitian pivoting over the Gaussian rationals, never
-through eigenvalues (those only appear in float mode).
+Everything here presumes star structures on both algebras.  The Gram
+matrix of a functional is tested for positive semidefiniteness by
+Hermitian pivoting (linalg.hermitian_psd), literally over the Gaussian
+rationals in exact mode and up to the field's tolerance in float mode;
+no eigenvalue is computed in either.
 """
 
 from __future__ import annotations

@@ -57,25 +57,6 @@ class TensorElement:
 
     # -- linear structure ---------------------------------------------------
 
-    def __add__(self, other):
-        self._check(other)
-        return TensorElement._raw(
-            self.left,
-            self.right,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return TensorElement._raw(
-            self.left,
-            self.right,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __neg__(self):
-        return TensorElement._raw(self.left, self.right, [[-a for a in r] for r in self.rows])
-
     def scale(self, scalar):
         s = self.field.coerce(scalar)
         return TensorElement._raw(self.left, self.right, [[s * a for a in r] for r in self.rows])
@@ -239,10 +220,7 @@ class Subspace:
             return NotImplemented
         if self.algebra != other.algebra or self.dim != other.dim:
             return False
-        f = self.algebra.field
-        return all(
-            f.eq(a, b) for ra, rb in zip(self.basis, other.basis) for a, b in zip(ra, rb)
-        )
+        return linalg.mat_eq(self.basis, other.basis, self.algebra.field)
 
     __hash__ = None
 

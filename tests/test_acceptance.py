@@ -90,8 +90,8 @@ def test_criterion_1_golden_suite():
         assert cert.counit.ok and cert.swap.ok and cert.splitting.ok and cert.determinacy.ok
         s0 = sd.transpose_anti_map(e.left)
         assert cert.antipode == s0 and cert.reverse_antipode == s0
-        phi = sd.derive_left_integral(e, cert.mode)
-        psi = sd.derive_right_integral(e, cert.mode)
+        phi = sd.derive_left_integral(e)
+        psi = sd.derive_right_integral(e)
         ntr = n * sd.trace_functional(e.left)
         assert phi == ntr and psi == ntr
     dt = time.perf_counter() - t0
@@ -107,7 +107,7 @@ def test_criterion_2_closed_form_suite():
     failures = 0
     for n, r, s in twisted_suite(200):
         e = sd.twisted_idempotent(r, s)
-        data = sd.derive_all(e, "separability_idempotent")
+        data = sd.derive_all(e)
         cf = sd.twisted_closed_forms(r, s)
         same = (
             data.antipode == cf.antipode
@@ -133,7 +133,7 @@ def run_battery(e, mode_hint="separability_idempotent"):
     assert cert.counit.ok, "counit identities"
     assert cert.swap.ok, "swap identity"
     assert cert.splitting.ok, "splitting"
-    data = sd.derive_all(e, cert.mode)  # KMS laws asserted inside
+    data = sd.derive_all(e)  # KMS laws asserted inside
     rep = sd.check_integral_transport(
         data.left_integral, data.right_integral, data.antipode, data.reverse_antipode
     )
@@ -186,7 +186,7 @@ def test_criterion_5_star_suite():
         cert = sd.certify(e)
         assert cert.ok, (idx, cert.reason)
         assert sd.check_antipode_star_relations(cert.antipode, cert.reverse_antipode).ok
-        data = sd.derive_all(e, cert.mode)
+        data = sd.derive_all(e)
         assert sd.check_integral_self_adjoint(data.left_integral, data.modular).ok
         assert sd.check_integral_self_adjoint(data.right_integral, data.reverse_modular).ok
         assert sd.check_positive(data.left_integral)[0], "phi positive (exact PSD)"
@@ -249,7 +249,7 @@ def test_criterion_7_negative_controls():
     with pytest.raises(RefusedForMode):
         sd.derive_left_integral(e)
     e0 = sd.standard_idempotent(2)
-    data = sd.derive_all(e0, "separability_idempotent")
+    data = sd.derive_all(e0)
     corrupted = data.right_integral + m2.functional([1, 0, 0, 0])
     rep = sd.check_integral_transport(
         data.left_integral, corrupted, data.antipode, data.reverse_antipode
@@ -267,7 +267,7 @@ def test_criterion_7_negative_controls():
 
 def test_criterion_8_trace_correspondence():
     e = sd.direct_sum_idempotent([sd.standard_idempotent(2), sd.standard_idempotent(2)])
-    data = sd.derive_all(e, "separability_idempotent")
+    data = sd.derive_all(e)
     b_alg, c_alg = e.left, e.right
     tau = sd.trace_functional(b_alg)
     q = sd.implementing_element_from_trace(e, tau, data)  # asserts the round trip
@@ -315,19 +315,19 @@ def test_criterion_9_float_mode_consistency():
         certe = sd.certify(ee)
         assert certf.mode == "separability_idempotent"
         assert rows_close(certf.antipode.rows, certe.antipode.rows)
-        phif = sd.derive_left_integral(ef, certf.mode)
-        phie = sd.derive_left_integral(ee, certe.mode)
+        phif = sd.derive_left_integral(ef)
+        phie = sd.derive_left_integral(ee)
         assert all(close(x, to_complex(y))
                    for x, y in zip(phif.covector, phie.covector))
     # (2) closed-form suite, same seeded data in both backends
     mismatches = 0
     for n, r, s in twisted_suite(200):
         e = sd.twisted_idempotent(r, s)
-        data = sd.derive_all(e, "separability_idempotent")
+        data = sd.derive_all(e)
         af = sd.matrix_algebra(n, with_star=True, field=ffield)
         rf, sf = to_float_element(r, af), to_float_element(s, af)
         ef = sd.twisted_idempotent(rf, sf)
-        dataf = sd.derive_all(ef, "separability_idempotent")
+        dataf = sd.derive_all(ef)
         ok = (
             rows_close(dataf.antipode.rows, data.antipode.rows)
             and rows_close(dataf.reverse_antipode.rows, data.reverse_antipode.rows)

@@ -115,7 +115,7 @@ def test_direct_sum_idempotent_certifies():
     cert = sd.certify(e)
     assert cert.ok
     # the left integral restricts block-wise to n_a times the block trace
-    phi = sd.derive_left_integral(e, cert.mode)
+    phi = sd.derive_left_integral(e)
     c_alg = e.right
     assert phi(u(c_alg, 0, 0, block=0)) == 1
     assert phi(u(c_alg, 0, 0, block=1)) == 2
@@ -129,7 +129,7 @@ def test_direct_sum_mixed_twist(rng):
     r = sd.random_involutive_diagonal(2, rng)
     comps = [sd.standard_idempotent(2), sd.involutive_twisted_idempotent(r)]
     e = sd.direct_sum_idempotent(comps)
-    data = sd.derive_all(e, "separability_idempotent")
+    data = sd.derive_all(e)
     cf = sd.twisted_closed_forms(r, r.star())
     # modular automorphism: identity on block 1, q-conjugation on block 2
     for k in range(4):

@@ -68,7 +68,7 @@ def test_library_layers_derive_once(calls):
     e = sd.twisted_idempotent(r, s)
     cert = sd.certify(e)
     assert cert.ok
-    data = sd.derive_all(e, cert.mode)
+    data = sd.derive_all(e)
     dual = sd.Duality(data)
     b, c = e.left.basis_element(1), e.right.basis_element(3)
     dual.pairing(dual.fourier(b, "B"), dual.fourier(c, "C"))
@@ -151,7 +151,7 @@ def test_certify_and_derive_build_each_form_matrix_once(monkeypatch):
     for e in (sd.twisted_idempotent(r, s), sd.standard_idempotent_over(b)):
         counts.clear()
         cert = sd.certify(e)
-        sd.derive_all(e, cert.mode)
+        sd.derive_all(e)
         assert cert.ok and counts == {e.left.dim: 2}
 
 
@@ -251,7 +251,7 @@ def test_certified_element_leaves_no_garbage_cycle(r75):
                                                        sd.twisted_idempotent(r, s)])):
             e = make()
             cert = sd.certify(e)
-            data = sd.derive_all(e, cert.mode)
+            data = sd.derive_all(e)
             dual = sd.Duality(data)
             blocks = sd.decompose_blocks(e)
             assert cert.ok and dual.element is e and blocks

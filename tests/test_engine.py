@@ -2,6 +2,7 @@ import pytest
 
 import sepidem as sd
 from sepidem.errors import (
+    CentralityViolation,
     IntertwinerConditionFails,
     NonUniqueSolution,
     NoSolution,
@@ -211,6 +212,16 @@ def test_central_element_scalar_case(m2):
     e = sd.twisted_idempotent(m2.one(), s_mat)
     c = sd.central_element(e, sd.derive_antipode(e))
     assert c == rational("3/2") * m2.one()
+
+
+def test_central_element_not_central_raises(e0_2, m2):
+    """t(e11) = e11 and t = 0 on the other units is not E0's antipode:
+    m_C (t (x) id) E0 = e11 / 2, which e12 does not commute with."""
+    k = m2.unit_index(0, 0, 0)
+    t = sd.LinearMap(m2, m2, [[int(i == j == k) for j in range(m2.dim)] for i in range(m2.dim)])
+    with pytest.raises(CentralityViolation) as info:
+        sd.central_element(e0_2, t)
+    assert info.value.witness == m2.labels[m2.unit_index(0, 0, 1)]
 
 
 def test_central_element_iff_idempotent(rng):

@@ -105,7 +105,7 @@ def test_exact_mode_runs_no_implied_check(counts, backend):
         counts.clear()
         cert = sd.certify(e)
         assert cert.ok, (label, cert.reason)
-        sd.derive_all(e, cert.mode)
+        sd.derive_all(e)
         expect = {} if backend == "exact" else FLOAT_COUNTS
         assert dict(counts) == expect, label
 
@@ -205,16 +205,18 @@ def _refused_elements():
 @pytest.mark.parametrize("label", sorted(_refused_elements()))
 def test_integral_entry_points_refuse_what_certify_rejects(label, backend):
     """Every integral entry point refuses an element certify does not
-    certify, with or without a claimed separability mode, naming the
-    certificate mode."""
+    certify, naming the certificate mode; derive_all, the one entry point
+    that still takes a mode, refuses it with a claimed separability mode
+    too."""
     e, mode, reason = _refused_elements()[label]
     if backend == "float64":
         e = e.to_field(FLOAT64)
     cert = sd.certify(e)
     assert cert.mode == mode and reason in (cert.reason or ""), (label, cert.reason)
-    for derive in INTEGRAL_ENTRY_POINTS:
-        for claimed in (None, "separability_idempotent"):
-            with pytest.raises(sd.errors.RefusedForMode) as info:
-                derive(e, claimed)
-            assert f"certificate mode: {mode}" in str(info.value), (label, derive)
-            assert reason in str(info.value), (label, derive)
+    calls = [(derive, ()) for derive in INTEGRAL_ENTRY_POINTS]
+    calls.append((sd.derive_all, ("separability_idempotent",)))
+    for derive, claimed in calls:
+        with pytest.raises(sd.errors.RefusedForMode) as info:
+            derive(e, *claimed)
+        assert f"certificate mode: {mode}" in str(info.value), (label, derive)
+        assert reason in str(info.value), (label, derive)

@@ -53,7 +53,9 @@ def test_integrals_refused_in_nilpotent_mode(m2):
     with pytest.raises(RefusedForMode):
         sd.derive_left_integral(e)
     with pytest.raises(RefusedForMode):
-        sd.derive_right_integral(e, mode="nilpotent_variant")
+        sd.derive_right_integral(e)
+    with pytest.raises(RefusedForMode):
+        sd.derive_all(e, mode="nilpotent_variant")
 
 
 def test_integrals_refused_on_nonfull():
@@ -79,7 +81,7 @@ def test_modular_automorphisms_e0(e0_2, m2):
 
 
 def test_modular_closed_form(involutive_75, m2, r75):
-    data = sd.derive_all(involutive_75, "separability_idempotent")
+    data = sd.derive_all(involutive_75)
     cf = sd.twisted_closed_forms(r75, r75.star())
     assert data.modular == cf.modular
     assert data.reverse_modular == cf.reverse_modular
@@ -103,7 +105,7 @@ def test_kms_violation_detected(e0_2, m2):
 
 
 def test_transport_checks(e0_2):
-    data = sd.derive_all(e0_2, "separability_idempotent")
+    data = sd.derive_all(e0_2)
     rep = sd.check_integral_transport(
         data.left_integral, data.right_integral, data.antipode, data.reverse_antipode
     )
@@ -112,7 +114,7 @@ def test_transport_checks(e0_2):
 
 def test_transport_closed_form_equivalence(involutive_75, r75):
     """psi . S' = phi and phi . S = psi reduce to S(p) = q and S'(q) = p."""
-    data = sd.derive_all(involutive_75, "separability_idempotent")
+    data = sd.derive_all(involutive_75)
     cf = sd.twisted_closed_forms(r75, r75.star())
     assert data.antipode(cf.p) == cf.q
     assert data.reverse_antipode(cf.q) == cf.p
@@ -123,7 +125,7 @@ def test_transport_closed_form_equivalence(involutive_75, r75):
 
 
 def test_transport_detects_corruption(e0_2, m2):
-    data = sd.derive_all(e0_2, "separability_idempotent")
+    data = sd.derive_all(e0_2)
     bad_psi = data.right_integral + m2.functional([1, 0, 0, 0])
     rep = sd.check_integral_transport(
         data.left_integral, bad_psi, data.antipode, data.reverse_antipode
@@ -135,7 +137,7 @@ def test_transport_on_random_instances(rng):
     for _ in range(5):
         r, s = sd.random_twisted_pair(2, rng)
         e = sd.twisted_idempotent(r, s)
-        data = sd.derive_all(e, "separability_idempotent")
+        data = sd.derive_all(e)
         assert sd.check_integral_transport(
             data.left_integral, data.right_integral, data.antipode, data.reverse_antipode
         ).ok
@@ -145,7 +147,7 @@ def test_transport_on_random_instances(rng):
 
 
 def test_q_from_trace_e0(e0_2, m2):
-    data = sd.derive_all(e0_2, "separability_idempotent")
+    data = sd.derive_all(e0_2)
     tau = sd.trace_functional(m2)
     q = sd.implementing_element_from_trace(e0_2, tau, data)
     assert q == rational("1/2") * m2.one()
@@ -154,7 +156,7 @@ def test_q_from_trace_e0(e0_2, m2):
 
 
 def test_q_from_non_trace_rejected(e0_2, m2):
-    data = sd.derive_all(e0_2, "separability_idempotent")
+    data = sd.derive_all(e0_2)
     skew = m2.functional([1, 0, 0, 2])
     with pytest.raises(NotATrace):
         sd.implementing_element_from_trace(e0_2, skew, data)
@@ -162,7 +164,7 @@ def test_q_from_non_trace_rejected(e0_2, m2):
 
 def test_trace_from_q_direct_sum_not_faithful():
     e = sd.direct_sum_idempotent([sd.standard_idempotent(2), sd.standard_idempotent(2)])
-    data = sd.derive_all(e, "separability_idempotent")
+    data = sd.derive_all(e)
     c_alg = e.right
     # q = identity on block 1, zero on block 2: central, hence commutes with sigma = id
     q = c_alg.zero()
@@ -178,14 +180,14 @@ def test_trace_from_q_direct_sum_not_faithful():
 
 
 def test_trace_from_q_unit_is_faithful(e0_2, m2):
-    data = sd.derive_all(e0_2, "separability_idempotent")
+    data = sd.derive_all(e0_2)
     tau, faithful = sd.trace_from_implementing_element(e0_2, m2.one(), data)
     assert faithful
     assert tau == data.right_integral
 
 
 def test_trace_from_q_rejects_noncentral(e0_2, m2):
-    data = sd.derive_all(e0_2, "separability_idempotent")
+    data = sd.derive_all(e0_2)
     with pytest.raises(RelativeCommutationFails):
         sd.trace_from_implementing_element(e0_2, u(m2, 0, 1), data)
 
@@ -193,7 +195,7 @@ def test_trace_from_q_rejects_noncentral(e0_2, m2):
 def test_trace_correspondence_mirror_side(involutive_75):
     """The symmetric version on the other algebra: a trace on C is
     implemented by p = (id (x) tau) E in B, commuting against sigma'."""
-    data = sd.derive_all(involutive_75, "separability_idempotent")
+    data = sd.derive_all(involutive_75)
     tau = sd.trace_functional(involutive_75.right)
     p = sd.implementing_element_from_trace(involutive_75, tau, data, side="C")
     assert p.algebra == involutive_75.left

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -226,12 +227,45 @@ def test_psd_complex_entries():
     assert not ok
 
 
+def _psd_cases():
+    """Rational Hermitian matrices: A^H A for A of each rank (Gaussian
+    entries, n <= 5), each also with one diagonal entry lowered, and
+    indefinite matrices with a zero diagonal."""
+    rng = random.Random(41)
+    i = gauss(0, 1)
+    cases = [mat([[1, 0], [0, -1]]), mat([[0, 1], [1, 0]]), [[F.zero, i], [-i, F.zero]],
+             mat([[1, 0, 0], [0, 0, 2], [0, 2, 0]]), [[F.coerce(2), i], [-i, F.coerce(2)]]]
+    for n in range(1, 6):
+        for r in range(n + 1):
+            a = [[gauss(rng.randint(-3, 3), rng.randint(-3, 3) * rng.randint(0, 1))
+                  for _ in range(n)] for _ in range(r)]
+            g = linalg.mat_mul(linalg.conj_transpose(a), a, F) if r else mat([[0] * n] * n)
+            k = rng.randrange(n)
+            lowered = [list(row) for row in g]
+            lowered[k][k] = g[k][k] - rng.choice([rational("1/3") * g[k][k], 1 + g[k][k]])
+            cases += [g, lowered]
+    return cases
+
+
 def test_psd_float_mode():
-    g = [[2 + 0j, 1j], [-1j, 2 + 0j]]
-    ok, rank = linalg.hermitian_psd(g, FLOAT64)
-    assert ok and rank == 2
-    ok, _ = linalg.hermitian_psd([[1 + 0j, 0j], [0j, -1 + 0j]], FLOAT64)
-    assert not ok
+    """Float mode gives the exact verdict, and the exact rank of every PSD
+    matrix, on rational Hermitian matrices."""
+    for g in _psd_cases():
+        want_ok, want_rank = linalg.hermitian_psd(g, F)
+        ok, rank = linalg.hermitian_psd([[F.to_complex(x) for x in row] for row in g], FLOAT64)
+        assert ok == want_ok, g
+        if ok:
+            assert rank == want_rank, g
+
+
+def test_psd_float_mode_needs_no_numpy(monkeypatch):
+    """Float hermitian_psd and check_positive import nothing outside the
+    standard library."""
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert linalg.hermitian_psd([[2 + 0j, 1j], [-1j, 2 + 0j]], FLOAT64) == (True, 2)
+    e = sd.standard_idempotent(2, field=FLOAT64)
+    ok, _ = sd.check_positive(sd.derive_left_integral(e))
+    assert ok
 
 
 def test_hermitian_pd():

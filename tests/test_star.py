@@ -7,6 +7,7 @@ import sepidem as sd
 from sepidem.errors import (
     CrossBlockLeakage,
     GramNotPositiveDefinite,
+    InequalityViolation,
     NoBlockPresentation,
     NotInvertible,
     ReconstructionMismatch,
@@ -50,7 +51,7 @@ def test_antipode_star_negative_control(involutive_75, m2):
 
 
 def test_integral_self_adjoint(involutive_75):
-    data = sd.derive_all(involutive_75, "separability_idempotent")
+    data = sd.derive_all(involutive_75)
     assert sd.check_integral_self_adjoint(data.left_integral, data.modular).ok
     assert sd.check_integral_self_adjoint(data.right_integral, data.reverse_modular).ok
 
@@ -101,7 +102,7 @@ def test_positivity_transfer(e0_2, involutive_75):
 
 
 def test_positivity_transfer_wrong_map(involutive_75, m2):
-    data = sd.derive_all(involutive_75, "separability_idempotent")
+    data = sd.derive_all(involutive_75)
     from sepidem.integrals import DerivedData
 
     wrong = DerivedData(
@@ -118,7 +119,7 @@ def test_positivity_transfer_wrong_map(involutive_75, m2):
 
 def test_cauchy_bound_basis_pair(e0_2, m2):
     # c = c1 = e11: phi(e11) = 2 <= phi(e11) phi(e11) = 4
-    data = sd.derive_all(e0_2, "separability_idempotent")
+    data = sd.derive_all(e0_2)
     phi = data.left_integral
     e11 = u(m2, 0, 0)
     assert phi(e11.star() * e11.star() * e11 * e11) == 2
@@ -131,6 +132,18 @@ def test_cauchy_bound_zero_pair(e0_2, m2):
     z = m2.zero()
     one = m2.one()
     assert sd.check_cauchy_bound(e0_2, [(z, z, one, z)]) == 1
+
+
+def test_cauchy_bound_violation_raises(e0_2, m2):
+    """phi = Tr / 2 in place of E0(2)'s phi = 2 Tr breaks the bound on
+    c = c1 = e11: phi(e11) = 1/2 > phi(e11)^2 = 1/4."""
+    data = sd.derive_all(e0_2)
+    bad = dataclasses.replace(data, left_integral=data.left_integral * rational("1/4"))
+    e11 = u(m2, 0, 0)
+    assert sd.check_cauchy_bound(e0_2, [(e11, e11, e11, e11)], data=data) == 1
+    with pytest.raises(InequalityViolation) as info:
+        sd.check_cauchy_bound(e0_2, [(e11, e11, e11, e11)], data=bad)
+    assert info.value.witness == ("C", 0)
 
 
 def test_cauchy_bound_samples(involutive_75):
@@ -391,7 +404,7 @@ def test_positive_integrals_on_involutive_family(rng):
     for n in (2, 3):
         r = sd.random_involutive_diagonal(n, rng)
         e = sd.involutive_twisted_idempotent(r)
-        data = sd.derive_all(e, "separability_idempotent")
+        data = sd.derive_all(e)
         assert sd.check_positive(data.left_integral)[0]
         assert sd.check_positive(data.right_integral)[0]
 
