@@ -112,6 +112,8 @@ def main(argv=None):
     ap.add_argument("targets", nargs="+", metavar="LABEL[=CHECKOUT]")
     ap.add_argument("--out-dir", default=str(ROOT))
     args = ap.parse_args(argv)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the runs, not after them
 
     targets = [parse_target(t) for t in args.targets]
     docs = {label: {"label": label, "seconds": SECONDS, "seeds": list(SEEDS),
@@ -138,7 +140,7 @@ def main(argv=None):
                 "traced": traced_record(TRACE_SEED, result, wall),
             }
     for label, doc in docs.items():
-        out = Path(args.out_dir) / f"BENCH_{label}.json"
+        out = out_dir / f"BENCH_{label}.json"
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {out}", file=sys.stderr)
     for workload in WORKLOADS:

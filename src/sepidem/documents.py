@@ -105,7 +105,6 @@ class InstanceDescription:
     built element."""
 
     scalar_mode: str
-    tolerance: float
     seed: object
     element: TensorElement
     spec: dict  # normalized document
@@ -117,16 +116,16 @@ def _field_of(doc, loc, override_mode=None, override_tol=None):
     if mode == "exact":
         if tol is not None:
             raise DocumentError("tolerance only applies to float64 mode", loc + ".tolerance")
-        return EXACT, None
+        return EXACT
     if mode == "float64":
-        return Float64Field(tol if tol is not None else 1e-9), tol
+        return Float64Field(tol if tol is not None else 1e-9)
     raise DocumentError(f"unknown scalar_mode {mode!r}", loc + ".scalar_mode")
 
 
 def parse_instance(doc, override_mode=None, override_tol=None) -> InstanceDescription:
     if not isinstance(doc, dict):
         raise DocumentError("instance document must be an object", "$")
-    fld, tol = _field_of(doc, "$", override_mode, override_tol)
+    fld = _field_of(doc, "$", override_mode, override_tol)
     espec = doc.get("E")
     if espec is None:
         raise DocumentError("missing field", "$.E")
@@ -136,7 +135,6 @@ def parse_instance(doc, override_mode=None, override_tol=None) -> InstanceDescri
     spec["scalar_mode"] = fld.name
     return InstanceDescription(
         scalar_mode=fld.name,
-        tolerance=tol if not fld.is_exact else None,
         seed=doc.get("seed"),
         element=elem,
         spec=spec,

@@ -37,10 +37,8 @@ from typing import NamedTuple
 
 from . import linalg
 from .algebra import AlgebraElement, _operand
-from .engine import _inverse_map
 from .errors import NoStarStructure, SepidemError
-from .integrals import DerivedData, derive_all
-from .tensor import TensorElement
+from .integrals import DerivedData
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,8 @@ class DualElement:
 
 
 class Duality:
-    """Duality data attached to one certified element."""
+    """Duality data attached to one certified element, built from its
+    derive_all bundle."""
 
     def __init__(self, data: DerivedData):
         self.data = data
@@ -71,9 +70,9 @@ class Duality:
         self.field = e.field
         self._sides = {
             "B": _Side(self.B, data.right_integral.form_matrix(),
-                       data.reverse_antipode, _inverse_map(e, "left"), "C"),
+                       data.reverse_antipode, data.reverse_antipode_inverse, "C"),
             "C": _Side(self.C, linalg.transpose(data.left_integral.form_matrix()),
-                       data.antipode, _inverse_map(e, "right"), "B"),
+                       data.antipode, data.antipode_inverse, "B"),
         }
         self._inverse_fourier = {}
         self._star_memo = {}
@@ -83,10 +82,6 @@ class Duality:
         if side not in self._sides:
             raise SepidemError(f"unknown side {side!r}")
         return self._sides[side]
-
-    @classmethod
-    def from_element(cls, e: TensorElement) -> "Duality":
-        return cls(derive_all(e))
 
     # -- Fourier transform -------------------------------------------------
 

@@ -79,7 +79,18 @@ each half of the counit identities with one comparison.  By bilinearity
 the C half states z c = c for every c, and the B half b z' = b for every b,
 with z' = m_B (id (x) S') E.  Each holds exactly when z = 1 (z' = 1): c = 1
 gives z = 1, and 1 c = c.  Only a failed half is searched for its basis
-witnesses.  When z = 1 the centrality check is skipped, since 1 is central.
+witnesses.
+
+certify does not test z for centrality: once S is verified on a full E,
+z is central.  Write E = sum b_i (x) c_i and take c in C.  Absorption at
+S^-1(c) gives E (S^-1(c) (x) 1) = E (1 (x) c), and applying
+m_C (S (x) id) to both sides, with S anti-multiplicative,
+
+    z c = sum S(b_i) c_i c = sum S(b_i S^-1(c)) c_i = c sum S(b_i) c_i = c z.
+
+Float mode proves absorption on every basis element up to its tolerance
+(_absorption_solve), so the same holds there up to that tolerance.
+central_element stays public and asserts centrality.
 """
 
 from __future__ import annotations
@@ -480,10 +491,7 @@ def _leg_product(e: TensorElement, s: LinearMap) -> AlgebraElement:
 def central_element(e: TensorElement, s: LinearMap) -> AlgebraElement:
     """m_C (S (x) id) E.  Central in C; equal to 1 exactly when E^2 = E and
     to 0 when E^2 = 0.  Centrality is asserted."""
-    return _assert_central(_leg_product(e, s))
-
-
-def _assert_central(z: AlgebraElement) -> AlgebraElement:
+    z = _leg_product(e, s)
     C = z.algebra
     if z != C.one():  # 1 is central
         for l in range(C.dim):
@@ -655,11 +663,7 @@ def _certify(e: TensorElement) -> SeparabilityCertificate:
             return SeparabilityCertificate(mode="rejected", reason=str(exc), **base)
         base[absorbs] = True
     s, sp = base["antipode"], base["reverse_antipode"]
-    z = _leg_product(e, s)
-    try:
-        base["central_element"] = _assert_central(z)
-    except CentralityViolation as exc:
-        return SeparabilityCertificate(mode="rejected", reason=str(exc), **base)
+    z = base["central_element"] = _leg_product(e, s)  # central (module docstring)
     counit = _counit(e, z, sp)
     retraction = [("retraction", label) for half, label in counit.witness or () if half == "C"]
     checks = dict(

@@ -12,14 +12,18 @@ and their verification proves faithfulness and the modular laws (see the
 engine module); float mode checks both.  The integrals are kept in the
 element's memo too (engine._derived), so each is derived once.
 
-The element's certificate is the only gate: derive_all, the two integral
-derivations and Duality.from_element read the certificate certify keeps
-in the memo, and refuse (RefusedForMode, naming the certificate mode and
-its reason) unless its mode is "separability_idempotent".  Nilpotent
-variants (E^2 = 0), non-full elements, failed absorptions and
-non-idempotent elements are all refused there.  derive_all still takes a
-mode argument, which the certificate makes redundant, only because the
-benchmark's workloads pass one.
+The element's certificate is the only gate: derive_all and the two
+integral derivations read the certificate certify keeps in the memo, and
+refuse (RefusedForMode, naming the certificate mode and its reason)
+unless its mode is "separability_idempotent".  Nilpotent variants
+(E^2 = 0), non-full elements, failed absorptions and non-idempotent
+elements are all refused there.  derive_all still takes a mode argument,
+which the certificate makes redundant, only because the benchmark's
+workloads pass one.
+
+derive_all's DerivedData carries an element's derived data to the later
+layers: the trace correspondence here, the checks of star and
+duality.Duality take the bundle and no element.
 """
 
 from __future__ import annotations
@@ -79,25 +83,18 @@ def derive_right_integral(e: TensorElement) -> LinearFunctional:
     return _integral(e, "right")
 
 
-def modular_automorphisms(s: LinearMap, sp: LinearMap, phi=None, psi=None, element=None):
-    """sigma = S . S' on C and sigma' = S^-1 . S'^-1 on B.
+def modular_automorphisms(s: LinearMap, sp: LinearMap, phi=None, psi=None):
+    """sigma = S . S' on C and sigma' = S^-1 . S'^-1 on B, with S^-1 and
+    S'^-1 inverted from s and sp.
 
     Both are unital multiplicative bijections: multiplicativity is asserted
     on the generating set of each algebra (LinearMap.assert_multiplicative),
     bijectivity is inherited from the factors.  When the integrals are
     supplied, the weak KMS laws phi(c c') = phi(c' sigma(c)) and
     psi(b b') = psi(b' sigma'(b)) are checked on all basis pairs.
-
-    With the element supplied, S^-1 and S'^-1 are its derived inverses
-    (engine._inverse_map: no matrix inversion, and in float mode no
-    squared condition number); without it they are inverted from s and sp.
     """
-    if element is None:
-        s_inv, sp_inv = s.inverse(), sp.inverse()
-    else:
-        s_inv, sp_inv = _inverse_map(element, "right"), _inverse_map(element, "left")
     sigma = s.compose(sp)
-    sigma_prime = s_inv.compose(sp_inv)
+    sigma_prime = s.inverse().compose(sp.inverse())
     for m in (sigma, sigma_prime):
         m.assert_multiplicative()
     if phi is not None:
@@ -146,11 +143,14 @@ def check_integral_transport(phi, psi, s, sp) -> TransportReport:
 
 @dataclass(frozen=True)
 class DerivedData:
-    """Everything the later layers need, derived once from one element."""
+    """Everything the later layers need from one element: S, S', their
+    inverses (engine._inverse_map), phi, psi, sigma and sigma'."""
 
     element: TensorElement
     antipode: LinearMap
     reverse_antipode: LinearMap
+    antipode_inverse: LinearMap
+    reverse_antipode_inverse: LinearMap
     left_integral: LinearFunctional
     right_integral: LinearFunctional
     modular: LinearMap
@@ -158,23 +158,23 @@ class DerivedData:
 
 
 def derive_all(e: TensorElement, mode=None) -> DerivedData:
-    """S, S', phi, psi, sigma and sigma' of one element, from the element's
-    memo.  Float mode runs every check of modular_automorphisms (with the
-    element and the integrals).  Exact mode composes sigma = S . S' and
-    sigma' = S^-1 . S'^-1 and checks nothing more: the verified maps imply
-    what those checks prove (engine module docstring).  mode is ignored
-    (module docstring)."""
+    """S, S', S^-1, S'^-1, phi, psi, sigma and sigma' of one element, read
+    from the element's memo; sigma = S . S' and sigma' = S^-1 . S'^-1 are
+    composed on every call.  Float mode then checks both multiplicative
+    and the weak KMS laws (as modular_automorphisms does); exact mode
+    checks nothing more: the verified maps imply what those checks prove
+    (engine module docstring).  mode is ignored (module docstring)."""
     _require_integrable(e)
     phi, psi = _integral(e, "left"), _integral(e, "right")
     s, sp = _map(e, "right"), _map(e, "left")
-    if e.field.is_exact:
-        sigma = s.compose(sp)
-        sigma_prime = _inverse_map(e, "right").compose(_inverse_map(e, "left"))
-    else:
-        sigma, sigma_prime = modular_automorphisms(s, sp, element=e)
+    s_inv, sp_inv = _inverse_map(e, "right"), _inverse_map(e, "left")
+    sigma, sigma_prime = s.compose(sp), s_inv.compose(sp_inv)
+    if not e.field.is_exact:
+        for m in (sigma, sigma_prime):
+            m.assert_multiplicative()
         _check_kms(phi, sigma, _form(e, "left"))
         _check_kms(psi, sigma_prime, _form(e, "right"))
-    return DerivedData(e, s, sp, phi, psi, sigma, sigma_prime)
+    return DerivedData(e, s, sp, s_inv, sp_inv, phi, psi, sigma, sigma_prime)
 
 
 def _trace_side(data: DerivedData, side: str):
@@ -189,9 +189,10 @@ def _trace_side(data: DerivedData, side: str):
     raise SepidemError(f"unknown side {side!r}")
 
 
-def implementing_element_from_trace(e: TensorElement, tau: LinearFunctional,
-                                    data: DerivedData = None, side: str = "B") -> AlgebraElement:
-    """The element of the other algebra implementing a trace.
+def implementing_element_from_trace(data: DerivedData, tau: LinearFunctional,
+                                    side: str = "B") -> AlgebraElement:
+    """The element of the other algebra implementing a trace, for the
+    element of data.
 
     side="B": q = (tau (x) id) E for a trace tau on B; q satisfies the
     relative commutation c q = q sigma(c) for all c, and tau is recovered
@@ -205,9 +206,8 @@ def implementing_element_from_trace(e: TensorElement, tau: LinearFunctional,
     w = tau.traciality_witness()
     if w is not None:
         raise NotATrace(w)
-    if data is None:
-        data = derive_all(e)
     modular = _trace_side(data, side)[0]
+    e = data.element
     q = slice_left(tau, e) if side == "B" else slice_right(e, tau)
     _assert_relative_commutation(q, modular)
     if trace_functional_of(q, data, side) != tau:
@@ -232,8 +232,7 @@ def _assert_relative_commutation(q: AlgebraElement, auto: LinearMap):
             raise RelativeCommutationFails(alg.labels[l])
 
 
-def trace_from_implementing_element(e: TensorElement, q: AlgebraElement,
-                                    data: DerivedData = None, side: str = "B"):
+def trace_from_implementing_element(data: DerivedData, q: AlgebraElement, side: str = "B"):
     """The trace implemented by q (see implementing_element_from_trace for
     the two sides; side="C" is the symmetric extrapolation).
 
@@ -241,8 +240,6 @@ def trace_from_implementing_element(e: TensorElement, q: AlgebraElement,
     faithful exactly when q is invertible; both directions of that
     equivalence are asserted.
     """
-    if data is None:
-        data = derive_all(e)
     _assert_relative_commutation(q, _trace_side(data, side)[0])
     tau = trace_functional_of(q, data, side)
     w = tau.traciality_witness()

@@ -304,21 +304,20 @@ def _pick_pivot(row, start, field, scale, end=None):
     return best
 
 
-def row_echelon(a, field, scale=None):
+def row_echelon(a, field):
     """Forward elimination.  Returns (pivot rows, pivot column indices).
 
     Pivot rows are reduced against all earlier pivots and normalized to a
     unit pivot entry; rows that reduce to zero are dropped.
     """
-    pivots, pivot_cols, _ = _eliminate(a, field, scale)
+    pivots, pivot_cols, _ = _eliminate(a, field)
     return pivots, pivot_cols
 
 
-def _eliminate(a, field, scale=None, target_rank=None):
+def _eliminate(a, field, target_rank=None):
     """row_echelon's loop: (pivot rows, pivot column indices, indices of
     the rows they came from), stopping at target_rank pivots."""
-    if scale is None:
-        scale = matrix_scale(a, field)
+    scale = matrix_scale(a, field)
     pivots, pivot_cols, picked, reducers = [], [], [], []
     for idx, row in enumerate(a):
         row = _reduce_row(list(row), reducers, field, scale)
@@ -372,13 +371,13 @@ def rank(a, field):
     return len(row_echelon(a, field)[0])
 
 
-def independent_rows(a, field, target_rank=None, scale=None):
+def independent_rows(a, field, target_rank=None):
     """Indices of rows forming a basis of the row space.
 
     Scanning stops as soon as target_rank independent rows are found, so
     callers that know the expected rank avoid touching the remaining rows.
     """
-    return _eliminate(a, field, scale, target_rank)[2]
+    return _eliminate(a, field, target_rank)[2]
 
 
 def solve_unique(a, b, field):

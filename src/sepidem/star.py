@@ -19,8 +19,7 @@ from .algebra import (
     element_from_matrix,
     matrix_algebra,
 )
-from .engine import (CheckOutcome, SeparabilityCertificate, _certificate, _inverse_map, _pivot,
-                     _remember, certify)
+from .engine import CheckOutcome, SeparabilityCertificate, _certificate, _pivot, _remember, certify
 from .errors import (
     CrossBlockLeakage,
     GramNotPositiveDefinite,
@@ -30,7 +29,7 @@ from .errors import (
     SepidemError,
     TwistError,
 )
-from .integrals import DerivedData, _require_integrable, derive_all
+from .integrals import DerivedData, derive_all
 from .tensor import TensorElement
 
 
@@ -94,13 +93,11 @@ def check_positive(fun: LinearFunctional):
     return ok, g
 
 
-def check_positivity_transfer(e: TensorElement, data: DerivedData = None) -> CheckOutcome:
+def check_positivity_transfer(data: DerivedData) -> CheckOutcome:
     """psi(b* b) = phi(S(b)* S(b)) on all basis elements: the identity that
     carries positivity from one integral to the other."""
-    if data is None:
-        data = derive_all(e)
-    B = e.left
-    f = e.field
+    B = data.element.left
+    f = B.field
     failures = []
     for k in range(B.dim):
         b = B.basis_element(k)
@@ -152,16 +149,14 @@ def _le(field, lhs, rhs, witness):
             raise InequalityViolation(witness)
 
 
-def check_cauchy_bound(e: TensorElement, samples, rng=None, data: DerivedData = None) -> int:
+def check_cauchy_bound(data: DerivedData, samples, rng=None) -> int:
     """The Cauchy-Schwarz-type bound forced by E <= 1:
     phi(c* c1* c1 c) <= phi(c1 c1*) phi(c* c), and its mirror on the other
     algebra.  samples is a count (with rng) or an explicit list of
     (c, c1, b, b1) element tuples.  Returns the number of tuples checked;
     violations raise InequalityViolation."""
-    if data is None:
-        data = derive_all(e)
-    B, C = e.left, e.right
-    f = e.field
+    B, C = data.element.left, data.element.right
+    f = B.field
     gc = _gram_operand(gram_matrix(data.left_integral), f)
     gb = _gram_operand(gram_matrix(data.right_integral), f)
     if isinstance(samples, int):
@@ -315,19 +310,18 @@ class BlockData:
     twist: TwistData
 
 
-def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
+def decompose_blocks(e: TensorElement) -> list:
     """Split a certified element over aligned multi-matrix algebras into
     its per-block components and recover each block's twist.
 
-    data is e's derived data (derive_all(e) by default).  The coefficient
-    matrix M must vanish across blocks (CrossBlockLeakage), and so must the
-    global S, S', sigma and sigma'.  Supplied data is held to what
-    derive_all would give: e must certify as a separability idempotent
-    (RefusedForMode otherwise), and data's S and S' must be e's own.  Each
-    component E_a then gets in its memo the restrictions of the global S,
-    S', S^-1, S'^-1, phi and psi, the fullness, the idempotency verdict and
-    the certificate; certify(E_a) reads them, and recover_twist's
-    reconstruction of E_a is the only check run per block.
+    The coefficient matrix M must vanish across blocks
+    (CrossBlockLeakage).  e's data come from derive_all(e), which refuses
+    an element that does not certify (RefusedForMode), and the four maps
+    restricted into the blocks, the global S, S', S^-1 and S'^-1, must
+    vanish across blocks too.  Each component E_a then gets in its memo
+    the restrictions of those maps, phi and psi, the fullness, the
+    idempotency verdict and the certificate; certify(E_a) reads them, and
+    recover_twist's reconstruction of E_a is the only check run per block.
 
     The restrictions are E_a's own data.  With no entry across blocks,
     E = sum of the E_a, and products across blocks vanish, so:
@@ -366,21 +360,14 @@ def decompose_blocks(e: TensorElement, data: DerivedData = None) -> list:
     for i, j, c in e.nonzero_items():
         if not f.is_zero(c) and block_of_b[i] != block_of_c[j]:
             raise CrossBlockLeakage(block_of_b[i], block_of_c[j], (i, j))
-    supplied = data is not None
-    if not supplied:
-        data = derive_all(e)
+    data = derive_all(e)
     for name, t, rows, cols in [
         ("S", data.antipode, bounds_c, bounds_b),
         ("S'", data.reverse_antipode, bounds_b, bounds_c),
-        ("sigma", data.modular, bounds_c, bounds_c),
-        ("sigma'", data.reverse_modular, bounds_b, bounds_b),
+        ("S^-1", data.antipode_inverse, bounds_b, bounds_c),
+        ("S'^-1", data.reverse_antipode_inverse, bounds_c, bounds_b),
     ]:
         _assert_block_diagonal(name, t.rows, rows, cols, f)
-    if supplied:  # gate as derive_all does; the blocks' certificates restrict these S, S'
-        _require_integrable(e)
-        cert = _certificate(e)
-        if data.antipode != cert.antipode or data.reverse_antipode != cert.reverse_antipode:
-            raise SepidemError("supplied S or S' is not the element's own")
     with_star = B.star_matrix is not None and C.star_matrix is not None
     out = []
     for a_idx, n in enumerate(B.blocks):
@@ -421,8 +408,8 @@ def _restriction(e, data, alg, rb, rc):
     comp = TensorElement._raw(alg, alg, _block(e.rows, rb, rc))
     maps = {}
     for side, t, t_inv, target, source in (
-            ("right", data.antipode, _inverse_map(e, "right"), rc, rb),
-            ("left", data.reverse_antipode, _inverse_map(e, "left"), rb, rc)):
+            ("right", data.antipode, data.antipode_inverse, rc, rb),
+            ("left", data.reverse_antipode, data.reverse_antipode_inverse, rb, rc)):
         maps[side] = LinearMap(alg, alg, _block(t.rows, target, source))
         _remember(comp, "map", maps[side], side)
         _remember(comp, "inverse", LinearMap(alg, alg, _block(t_inv.rows, source, target)), side)

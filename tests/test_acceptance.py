@@ -191,8 +191,8 @@ def test_criterion_5_star_suite():
         assert sd.check_integral_self_adjoint(data.right_integral, data.reverse_modular).ok
         assert sd.check_positive(data.left_integral)[0], "phi positive (exact PSD)"
         assert sd.check_positive(data.right_integral)[0], "psi positive (exact PSD)"
-        assert sd.check_cauchy_bound(e, 200, rng, data) == 200
-        assert sd.check_positivity_transfer(e, data).ok
+        assert sd.check_cauchy_bound(data, 200, rng) == 200
+        assert sd.check_positivity_transfer(data).ok
         dual = sd.Duality(data)
         c_alg = e.right
         chats = [dual.fourier(c_alg.basis_element(j), "C") for j in range(c_alg.dim)]
@@ -270,18 +270,18 @@ def test_criterion_8_trace_correspondence():
     data = sd.derive_all(e)
     b_alg, c_alg = e.left, e.right
     tau = sd.trace_functional(b_alg)
-    q = sd.implementing_element_from_trace(e, tau, data)  # asserts the round trip
-    tau2, faithful = sd.trace_from_implementing_element(e, q, data)
+    q = sd.implementing_element_from_trace(data, tau)  # asserts the round trip
+    tau2, faithful = sd.trace_from_implementing_element(data, q)
     assert tau2 == tau and faithful
     q10 = c_alg.zero()
     for i in range(2):
         q10 = q10 + u(c_alg, i, i, block=0)
-    tau10, faithful10 = sd.trace_from_implementing_element(e, q10, data)
+    tau10, faithful10 = sd.trace_from_implementing_element(data, q10)
     assert tau10.is_tracial() and not faithful10
     with pytest.raises(NotInvertible):
         q10.inverse()
     q_inv = q10 + 3 * (u(c_alg, 0, 0, block=1) + u(c_alg, 1, 1, block=1))
-    tau_inv, faithful_inv = sd.trace_from_implementing_element(e, q_inv, data)
+    tau_inv, faithful_inv = sd.trace_from_implementing_element(data, q_inv)
     assert faithful_inv and q_inv.inverse() is not None
     report(8, True, "trace <-> implementing element round-trips on M2+M2; "
                     "q=(1,0) gives a tracial non-faithful functional with "

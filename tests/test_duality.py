@@ -14,12 +14,12 @@ def u(a, i, j):
 
 @pytest.fixture
 def dual_e0(e0_2):
-    return sd.Duality.from_element(e0_2)
+    return sd.Duality(sd.derive_all(e0_2))
 
 
 @pytest.fixture
 def dual_75(involutive_75):
-    return sd.Duality.from_element(involutive_75)
+    return sd.Duality(sd.derive_all(involutive_75))
 
 
 def test_fourier_covector_e0(dual_e0, m2):
@@ -159,7 +159,7 @@ def test_plancherel_twisted(dual_75, m2):
 
 def test_duality_in_float_mode():
     e = sd.standard_idempotent(2, field=sd.FLOAT64)
-    dual = sd.Duality.from_element(e)
+    dual = sd.Duality(sd.derive_all(e))
     a = e.left
     bh = dual.fourier(a.basis_element(0), "B")
     ch = dual.fourier(a.basis_element(0), "C")
@@ -200,7 +200,7 @@ def _table_instances(field):
 @pytest.mark.parametrize("field", [sd.EXACT, sd.FLOAT64], ids=["exact", "float64"])
 def test_tables_equal_the_entrywise_forms(field):
     for e in _table_instances(field):
-        dual = sd.Duality.from_element(e)
+        dual = sd.Duality(sd.derive_all(e))
         bhats, chats = _hats(dual)
         assert dual.pairing_table(bhats, chats) == [
             [dual.pairing(bh, ch) for ch in chats] for bh in bhats]
@@ -237,7 +237,7 @@ def test_tables_equal_the_scalar_loop(field):
     """The one-pass tables equal the entrywise scalar loop: exactly, with
     the same scalar types, in exact mode; bit for bit in float mode."""
     for e in _table_instances(field):
-        dual = sd.Duality.from_element(e)
+        dual = sd.Duality(sd.derive_all(e))
         bhats, chats = _hats(dual)
         want = [[_ref_contract(bh.covector, e.rows, ch.covector, field) for ch in chats]
                 for bh in bhats]

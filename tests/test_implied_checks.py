@@ -176,8 +176,7 @@ def test_integrals_refused_when_the_maps_do_not_derive():
 
 # -- the certificate is the only gate for integrals --------------------------------
 
-INTEGRAL_ENTRY_POINTS = (sd.derive_all, sd.derive_left_integral, sd.derive_right_integral,
-                         sd.Duality.from_element)
+INTEGRAL_ENTRY_POINTS = (sd.derive_all, sd.derive_left_integral, sd.derive_right_integral)
 
 
 def _refused_elements():

@@ -4,6 +4,7 @@ import sepidem as sd
 from sepidem.errors import (
     KMSViolation,
     NotATrace,
+    NotFaithful,
     NotInvertible,
     RefusedForMode,
     RelativeCommutationFails,
@@ -45,6 +46,24 @@ def test_integrals_faithful(rng):
         e = sd.twisted_idempotent(r, s)
         assert sd.derive_left_integral(e).is_faithful()
         assert sd.derive_right_integral(e).is_faithful()
+
+
+def test_float_integral_refuses_a_degenerate_covector(m2):
+    """Float mode tests faithfulness on the form matrix: phi = the e11
+    coefficient, planted as a certified element's left covector, kills
+    every c with c e11-coefficient zero against all of C, and the refusal
+    names such a c."""
+    from sepidem.engine import _remember
+
+    e = sd.standard_idempotent(2, field=sd.FLOAT64)
+    assert sd.certify(e).ok
+    _remember(e, "covector", (1, 0, 0, 0), "left")
+    with pytest.raises(NotFaithful) as info:
+        sd.derive_left_integral(e)
+    x = info.value.witness
+    degenerate = e.right.functional([1, 0, 0, 0])
+    assert x.algebra == e.right and not x.is_zero()
+    assert all(abs(degenerate(e.right.basis_element(j) * x)) <= 1e-12 for j in range(4))
 
 
 def test_integrals_refused_in_nilpotent_mode(m2):
@@ -149,9 +168,9 @@ def test_transport_on_random_instances(rng):
 def test_q_from_trace_e0(e0_2, m2):
     data = sd.derive_all(e0_2)
     tau = sd.trace_functional(m2)
-    q = sd.implementing_element_from_trace(e0_2, tau, data)
+    q = sd.implementing_element_from_trace(data, tau)
     assert q == rational("1/2") * m2.one()
-    tau2, faithful = sd.trace_from_implementing_element(e0_2, q, data)
+    tau2, faithful = sd.trace_from_implementing_element(data, q)
     assert tau2 == tau and faithful
 
 
@@ -159,7 +178,7 @@ def test_q_from_non_trace_rejected(e0_2, m2):
     data = sd.derive_all(e0_2)
     skew = m2.functional([1, 0, 0, 2])
     with pytest.raises(NotATrace):
-        sd.implementing_element_from_trace(e0_2, skew, data)
+        sd.implementing_element_from_trace(data, skew)
 
 
 def test_trace_from_q_direct_sum_not_faithful():
@@ -170,7 +189,7 @@ def test_trace_from_q_direct_sum_not_faithful():
     q = c_alg.zero()
     for i in range(2):
         q = q + c_alg.basis_element(c_alg.unit_index(0, i, i))
-    tau, faithful = sd.trace_from_implementing_element(e, q, data)
+    tau, faithful = sd.trace_from_implementing_element(data, q)
     assert tau.is_tracial()
     assert not faithful
     with pytest.raises(NotInvertible):
@@ -181,7 +200,7 @@ def test_trace_from_q_direct_sum_not_faithful():
 
 def test_trace_from_q_unit_is_faithful(e0_2, m2):
     data = sd.derive_all(e0_2)
-    tau, faithful = sd.trace_from_implementing_element(e0_2, m2.one(), data)
+    tau, faithful = sd.trace_from_implementing_element(data, m2.one())
     assert faithful
     assert tau == data.right_integral
 
@@ -189,7 +208,7 @@ def test_trace_from_q_unit_is_faithful(e0_2, m2):
 def test_trace_from_q_rejects_noncentral(e0_2, m2):
     data = sd.derive_all(e0_2)
     with pytest.raises(RelativeCommutationFails):
-        sd.trace_from_implementing_element(e0_2, u(m2, 0, 1), data)
+        sd.trace_from_implementing_element(data, u(m2, 0, 1))
 
 
 def test_trace_correspondence_mirror_side(involutive_75):
@@ -197,9 +216,9 @@ def test_trace_correspondence_mirror_side(involutive_75):
     implemented by p = (id (x) tau) E in B, commuting against sigma'."""
     data = sd.derive_all(involutive_75)
     tau = sd.trace_functional(involutive_75.right)
-    p = sd.implementing_element_from_trace(involutive_75, tau, data, side="C")
+    p = sd.implementing_element_from_trace(data, tau, side="C")
     assert p.algebra == involutive_75.left
-    tau2, faithful = sd.trace_from_implementing_element(involutive_75, p, data, side="C")
+    tau2, faithful = sd.trace_from_implementing_element(data, p, side="C")
     assert tau2 == tau and faithful
 
 

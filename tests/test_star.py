@@ -97,24 +97,14 @@ def test_positivity_fails_off_cone(m2):
 
 
 def test_positivity_transfer(e0_2, involutive_75):
-    assert sd.check_positivity_transfer(e0_2).ok
-    assert sd.check_positivity_transfer(involutive_75).ok
+    assert sd.check_positivity_transfer(sd.derive_all(e0_2)).ok
+    assert sd.check_positivity_transfer(sd.derive_all(involutive_75)).ok
 
 
 def test_positivity_transfer_wrong_map(involutive_75, m2):
     data = sd.derive_all(involutive_75)
-    from sepidem.integrals import DerivedData
-
-    wrong = DerivedData(
-        involutive_75,
-        sd.transpose_anti_map(m2),
-        data.reverse_antipode,
-        data.left_integral,
-        data.right_integral,
-        data.modular,
-        data.reverse_modular,
-    )
-    assert not sd.check_positivity_transfer(involutive_75, wrong).ok
+    wrong = dataclasses.replace(data, antipode=sd.transpose_anti_map(m2))
+    assert not sd.check_positivity_transfer(wrong).ok
 
 
 def test_cauchy_bound_basis_pair(e0_2, m2):
@@ -125,13 +115,13 @@ def test_cauchy_bound_basis_pair(e0_2, m2):
     assert phi(e11.star() * e11.star() * e11 * e11) == 2
     assert phi(e11 * e11.star()) * phi(e11.star() * e11) == 4
     pairs = [(e11, e11, e11, e11)]
-    assert sd.check_cauchy_bound(e0_2, pairs, data=data) == 1
+    assert sd.check_cauchy_bound(data, pairs) == 1
 
 
 def test_cauchy_bound_zero_pair(e0_2, m2):
     z = m2.zero()
     one = m2.one()
-    assert sd.check_cauchy_bound(e0_2, [(z, z, one, z)]) == 1
+    assert sd.check_cauchy_bound(sd.derive_all(e0_2), [(z, z, one, z)]) == 1
 
 
 def test_cauchy_bound_violation_raises(e0_2, m2):
@@ -140,15 +130,15 @@ def test_cauchy_bound_violation_raises(e0_2, m2):
     data = sd.derive_all(e0_2)
     bad = dataclasses.replace(data, left_integral=data.left_integral * rational("1/4"))
     e11 = u(m2, 0, 0)
-    assert sd.check_cauchy_bound(e0_2, [(e11, e11, e11, e11)], data=data) == 1
+    assert sd.check_cauchy_bound(data, [(e11, e11, e11, e11)]) == 1
     with pytest.raises(InequalityViolation) as info:
-        sd.check_cauchy_bound(e0_2, [(e11, e11, e11, e11)], data=bad)
+        sd.check_cauchy_bound(bad, [(e11, e11, e11, e11)])
     assert info.value.witness == ("C", 0)
 
 
 def test_cauchy_bound_samples(involutive_75):
     rng = random.Random(17)
-    assert sd.check_cauchy_bound(involutive_75, 200, rng) == 200
+    assert sd.check_cauchy_bound(sd.derive_all(involutive_75), 200, rng) == 200
 
 
 def test_gns_data_e0(e0_2):
@@ -340,38 +330,37 @@ def _with_leak(t, i, j):
     return sd.LinearMap(t.source, t.target, rows)
 
 
-# One off-block entry in each global map decompose_blocks restricts: rows
-# index the target, columns the source.  On M1 + M2, index 0 is the first
-# block and 1..4 the second.
-@pytest.mark.parametrize("name", ["antipode", "reverse_antipode", "modular", "reverse_modular"])
+# One off-block entry planted in e's memo entry of each global map
+# decompose_blocks restricts into the blocks: rows index the target,
+# columns the source.  On M1 + M2, index 0 is the first block and 1..4 the
+# second.
+LEAKS = {"antipode": ("map", "right"), "reverse_antipode": ("map", "left"),
+         "antipode_inverse": ("inverse", "right"),
+         "reverse_antipode_inverse": ("inverse", "left")}
+
+
+@pytest.mark.parametrize("name", list(LEAKS))
 def test_decompose_detects_leaking_global_maps(name):
+    from sepidem.engine import _remember
+
     e = sd.direct_sum_idempotent([sd.standard_idempotent(1), sd.standard_idempotent(2)])
-    data = sd.derive_all(e)
-    sd.decompose_blocks(e, data)
-    tampered = dataclasses.replace(data, **{name: _with_leak(getattr(data, name), 2, 0)})
+    sd.decompose_blocks(e)
+    step, side = LEAKS[name]
+    _remember(e, step, _with_leak(getattr(sd.derive_all(e), name), 2, 0), side)
     with pytest.raises(SepidemError, match=r"^global \S+ leaks across block 0$"):
-        sd.decompose_blocks(e, tampered)
+        sd.decompose_blocks(e)
 
 
-def test_decompose_refuses_data_that_is_not_the_elements():
-    """Supplied data is gated as derive_all gates: a block-diagonal but
-    wrong S, or an element whose certificate is rejected, is refused
-    rather than passed on to the blocks' certificates."""
+def test_decompose_refuses_a_rejected_element():
+    """decompose_blocks derives its data as derive_all does, so an element
+    whose certificate is rejected is refused by mode."""
     e = sd.direct_sum_idempotent([sd.standard_idempotent(1), sd.standard_idempotent(2)])
-    data = sd.derive_all(e)
-    for name in ("antipode", "reverse_antipode"):
-        rows = [list(r) for r in getattr(data, name).rows]
-        rows[0][0] = rational(2)  # inside block 0
-        t = getattr(data, name)
-        wrong = dataclasses.replace(data, **{name: sd.LinearMap(t.source, t.target, rows)})
-        with pytest.raises(SepidemError, match=r"^supplied S or S' is not the element's own$"):
-            sd.decompose_blocks(e, wrong)
     rows = [list(r) for r in e.rows]
     rows[1][1] = rational(0)  # M singular: not full
     rejected = sd.TensorElement(e.left, e.right, rows)
     assert sd.certify(rejected).mode == "rejected"
     with pytest.raises(RefusedForMode, match="certificate mode: rejected"):
-        sd.decompose_blocks(rejected, data)
+        sd.decompose_blocks(rejected)
 
 
 def test_decompose_blocks_read_the_sums_data(rng):

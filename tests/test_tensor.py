@@ -201,3 +201,19 @@ def test_subspace_contains(m2):
     s = sd.Subspace(m2, [u(m2, 0, 0).coeffs, u(m2, 1, 1).coeffs])
     assert s.contains(u(m2, 0, 0) + 3 * u(m2, 1, 1))
     assert not s.contains(u(m2, 0, 1))
+
+
+def test_float_element_moves_to_another_tolerance_and_back(rng):
+    """to_field between two float64 fields keeps every coefficient bit for
+    bit (Float64Field.to_complex), and with it the verdict and S."""
+    e = sd.twisted_idempotent(*sd.random_twisted_pair(3, rng)).to_field(sd.FLOAT64)
+    loose = e.to_field(sd.Float64Field(1e-6))
+    back = loose.to_field(sd.FLOAT64)
+    assert loose.field.tol == 1e-6 and back.field == sd.FLOAT64
+    assert loose.rows == e.rows and back.rows == e.rows
+    certs = [sd.certify(x) for x in (e, loose, back)]
+    assert [c.mode for c in certs] == ["separability_idempotent"] * 3
+    s, s_loose, s_back = (c.antipode.rows for c in certs)
+    assert s_back == s
+    assert all(abs(a - b) <= 1e-6 * max(1, abs(b)) for ra, rb in zip(s_loose, s)
+               for a, b in zip(ra, rb))
